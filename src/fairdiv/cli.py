@@ -106,10 +106,8 @@ def _cmd_solve(args) -> int:
     certificates = {
         "prop1": report_doc(result.report.prop1, agent_ids, item_ids)["witnesses"],
         "fpoCertified": result.report.fpo_certified,
+        "welfareWeights": [format_rational(w) for w in result.report.welfare_weights],
     }
-    if result.report.welfare_weights is not None:
-        certificates["welfareWeights"] = [
-            format_rational(w) for w in result.report.welfare_weights]
     _emit({
         "allocation": print_allocation(result.integral, agent_ids, item_ids)["owner"],
         "fractionalIntermediate": print_fractional(result.fractional, agent_ids, item_ids),

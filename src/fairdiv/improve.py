@@ -5,7 +5,10 @@ weighted-proportional by construction but heavily fragmented. Maximizing
 utilitarian welfare subject to every agent keeping at least its seed utility
 yields a fractional allocation that Pareto-dominates the seed and is
 fractionally Pareto optimal: any Pareto improvement on the optimum would
-itself be feasible and have strictly larger welfare.
+itself be feasible and have strictly larger welfare. The same LP also
+certifies it: its optimal duals on the agent rows are positive welfare
+weights under which every consumer of every item is a maximizer, so the
+pipeline needs no second LP to prove fPO.
 
 The simplex solver returns extreme points, whose consumption graphs are
 acyclic in all but degenerate cases. When a cycle does survive, some edge of
@@ -72,19 +75,35 @@ def dominance_welfare_lp(instance: Instance, baseline: FractionalAllocation,
 
 
 def improve_to_acyclic_fpo(instance: Instance,
-                           seed: Optional[FractionalAllocation] = None) -> FractionalAllocation:
+                           seed: Optional[FractionalAllocation] = None) -> tuple:
     """Compute a fractional allocation that Pareto-dominates the seed, is
     fractionally Pareto optimal, and whose consumption graph is a forest.
 
-    Defaults to the proportional seed, in which case the result is also
-    weighted-proportional. Deterministic: the simplex is deterministic and
-    cycle edges are tested in walk order from the lowest-index agent.
+    Returns ``(allocation, weights)``. Defaults to the proportional seed, in
+    which case the allocation is also weighted-proportional. Deterministic:
+    the simplex is deterministic and cycle edges are tested in walk order
+    from the lowest-index agent.
+
+    ``weights`` are welfare weights certifying fPO, read off the first LP's
+    duals. With shadow price pi_i <= 0 on agent i's ">=" row and p_o on item
+    o's "=" row, dual feasibility says the reduced cost of x[i][o] is
+    ``(1 - pi_i) * u_i(o) - p_o <= 0``, with equality wherever x[i][o] > 0
+    (complementary slackness). So with ``lambda_i = 1 - pi_i >= 1``, every
+    consumer of o attains max_j lambda_j * u_j(o) = p_o.
+
+    They also certify the allocation a cycle retry returns. Such a solution
+    has the first LP's optimal value (asserted) and satisfies all of the
+    first LP's constraints (the retry only adds rows), so it is optimal for
+    the first LP too. Complementary slackness holds between any optimal
+    primal and any optimal dual, so it holds between the retry solution and
+    the first solve's duals.
     """
     if seed is None:
         seed = proportional_seed(instance)
     forbidden = set()
     solution = _solve_or_die(instance, seed, forbidden)
     target = solution.value
+    weights = tuple(1 - pi for pi in solution.duals[:instance.num_agents])
 
     while True:
         x = _as_allocation(instance, solution)
@@ -104,7 +123,7 @@ def improve_to_acyclic_fpo(instance: Instance,
     if solution.value != target:
         raise InvariantViolation("edge removals changed the optimal welfare")
     _check_shared_items_same_sign(instance, x)
-    return x
+    return x, weights
 
 
 def _solve_or_die(instance, seed, forbidden) -> LpSolution:

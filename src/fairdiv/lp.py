@@ -62,18 +62,25 @@ class LpSolution:
     For status "optimal", ``assignment`` is an extreme point attaining
     ``value`` and ``basis`` holds the basic column indices: indices below
     ``num_vars`` are problem variables, higher ones slack variables in
-    constraint order. Otherwise value and assignment are None.
+    constraint order. ``duals`` holds one entry per constraint, in
+    ``problem.constraints`` order: for an inequality row, its shadow price
+    (the rate at which the optimal value moves with that row's rhs: >= 0 for
+    "<=" rows, <= 0 for ">=" rows), and None for "=" rows. The shadow prices
+    form an optimal dual solution, so complementary slackness ties them to
+    every optimal assignment. Otherwise value, assignment, basis and duals
+    are None.
     """
 
     status: str
     value: Fraction = None
     assignment: tuple = None
     basis: frozenset = None
+    duals: tuple = None
 
 
 def solve(problem: LpProblem) -> LpSolution:
     """Solve an LpProblem exactly; see module docstring for guarantees."""
-    tab, basic, n_struct, n_slack, art_start = _standard_form(problem)
+    tab, basic, slacks, n_struct, n_slack, art_start = _standard_form(problem)
 
     has_artificials = any(b >= art_start for b in basic)
     if has_artificials:
@@ -101,7 +108,21 @@ def solve(problem: LpProblem) -> LpSolution:
         value=value,
         assignment=tuple(assignment),
         basis=frozenset(basic),
+        duals=_shadow_prices(obj, slacks),
     )
+
+
+def _shadow_prices(obj, slacks) -> tuple:
+    """Shadow prices read off the final phase-2 objective row.
+
+    Every row operation keeps ``obj`` equal to ``cost - y . A`` for some
+    multipliers ``y`` on the original rows, and at optimality ``y`` is an
+    optimal dual solution. Slack column k appears only in row k, with
+    coefficient ``sign`` in the row's original orientation, so its reduced
+    cost is ``-sign * y_k``. Artificial columns are gone by phase 2, which
+    is why "=" rows get None.
+    """
+    return tuple(None if s is None else -s[1] * obj[s[0]] for s in slacks)
 
 
 def _standard_form(problem: LpProblem):
@@ -109,30 +130,35 @@ def _standard_form(problem: LpProblem):
 
     A ">=" row with nonpositive rhs is negated into a "<=" row so its slack
     can start basic; artificials are introduced only for "=" rows and ">="
-    rows with positive rhs.
+    rows with positive rhs. ``slacks`` gives, per original row, its slack
+    column and that column's coefficient in the row as the problem states
+    it (+1 for "<=", -1 for ">="), or None for an "=" row.
     """
     rows = []
     for coeffs, rel, rhs in problem.constraints:
         coeffs = list(coeffs)
+        sign = -1 if rel == ">=" else 1
         if rhs < 0 or (rhs == 0 and rel == ">="):
             coeffs = [-c for c in coeffs]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((coeffs, rel, rhs))
+        rows.append((coeffs, rel, rhs, sign))
 
     n_struct = problem.num_vars
-    n_slack = sum(1 for _, rel, _ in rows if rel != "=")
-    art_rows = [r for r, (_, rel, _) in enumerate(rows) if rel != "<="]
+    n_slack = sum(1 for _, rel, _, _ in rows if rel != "=")
+    art_rows = [r for r, (_, rel, _, _) in enumerate(rows) if rel != "<="]
     art_start = n_struct + n_slack
     width = art_start + len(art_rows) + 1
 
     tab = []
     basic = []
+    slacks = []
     zero = Fraction(0)
     slack_col = n_struct
     art_col = art_start
-    for r, (coeffs, rel, rhs) in enumerate(rows):
+    for coeffs, rel, rhs, sign in rows:
         row = coeffs + [zero] * (width - n_struct - 1) + [rhs]
+        slacks.append(None if rel == "=" else (slack_col, sign))
         if rel == "<=":
             row[slack_col] = Fraction(1)
             basic.append(slack_col)
@@ -148,7 +174,7 @@ def _standard_form(problem: LpProblem):
             basic.append(art_col)
             art_col += 1
         tab.append(row)
-    return tab, basic, n_struct, n_slack, art_start
+    return tab, basic, slacks, n_struct, n_slack, art_start
 
 
 def _reduced_costs(tab, basic, cost):

@@ -10,6 +10,10 @@ exactly proportionality up to one item, and since rounding only shrinks the
 set of consumers per item, the welfare-weight certificate of the fractional
 allocation keeps certifying fractional Pareto optimality.
 
+``allocate`` checks its own output without solving another LP: the
+improvement LP's duals are the welfare weights, and replaying them on the
+fractional intermediate and on the integral output costs O(nm).
+
 Which agent roots each tree and in which order the walk visits agents does
 not affect those guarantees; ExplorationStrategy exposes the knobs.
 """
@@ -19,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from fairdiv.core import (
     FractionalAllocation,
@@ -31,10 +34,13 @@ from fairdiv.core import (
     utilities,
 )
 from fairdiv.improve import improve_to_acyclic_fpo
-from fairdiv.verify import (
+# find_welfare_weights and pareto_improvement_exists, the LP-based fPO
+# oracles, are re-exported for callers that look them up on this module.
+from fairdiv.verify import (  # noqa: F401
     PropertyReport,
     find_welfare_weights,
     pareto_improvement_exists,
+    recheck_welfare_weights,
     weighted_prop1,
 )
 
@@ -78,7 +84,7 @@ class CertificateReport:
 
     prop1: PropertyReport
     fpo_certified: bool
-    welfare_weights: Optional[tuple]
+    welfare_weights: tuple
 
 
 @dataclass(frozen=True)
@@ -226,17 +232,21 @@ def allocate(instance: Instance,
 
     The result is weighted-PROP1 and fractionally Pareto optimal; both are
     re-checked and a failure of either raises InvariantViolation, since it
-    could only come from a bug in this package.
+    could only come from a bug in this package. fPO is checked by replaying
+    the improvement LP's welfare weights on both allocations: zero-item
+    resolution and rounding only shrink each item's consumer set, so weights
+    that certify the improved allocation certify both.
     """
-    improved = improve_to_acyclic_fpo(instance)
+    improved, weights = improve_to_acyclic_fpo(instance)
+    if not all(w > 0 for w in weights):
+        raise InvariantViolation("improvement LP duals give a nonpositive welfare weight")
     fractional = resolve_zero_items(instance, improved)
+    recheck_welfare_weights(instance, consumption_graph(fractional), weights)
     integral = round_acyclic(instance, fractional, strategy)
+    recheck_welfare_weights(instance, consumption_graph(integral), weights)
 
     prop1 = weighted_prop1(instance, integral)
     if not prop1.holds:
         raise InvariantViolation("pipeline output violates weighted PROP1")
-    if pareto_improvement_exists(instance, integral):
-        raise InvariantViolation("pipeline output admits a Pareto improvement")
-    weights = find_welfare_weights(instance, integral)
     report = CertificateReport(prop1=prop1, fpo_certified=True, welfare_weights=weights)
     return PipelineResult(integral=integral, fractional=fractional, report=report)

@@ -103,6 +103,8 @@ def parse_allocation(doc, agent_ids, item_ids) -> IntegralAllocation:
     for item, agent in doc["owner"].items():
         if item not in item_index:
             raise ValueError(f"unknown item id {item!r}")
+        if not isinstance(agent, str):
+            raise ValueError(f"owner of item {item!r} must be an agent id string, got {agent!r}")
         if agent not in agent_index:
             raise ValueError(f"unknown agent id {agent!r}")
         owners[item_index[item]] = agent_index[agent]

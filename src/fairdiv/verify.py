@@ -10,7 +10,11 @@ Pareto optimality of integral allocations is decided by exhaustive search
 over all n**m owner assignments (with a cap), independent of the LP stack;
 fractional Pareto optimality is decided by a welfare LP. Welfare weights,
 when they exist, certify fPO: an allocation maximizing a positively
-weighted welfare sum cannot be Pareto-improved.
+weighted welfare sum cannot be Pareto-improved. ``recheck_welfare_weights``
+replays such a certificate in O(nm); the pipeline certifies its own output
+that way, with weights taken from its improvement LP's duals. The LP-based
+``pareto_improvement_exists`` and ``find_welfare_weights`` are independent
+of that: they decide ``verify --property fpo`` and serve as test oracles.
 """
 
 from __future__ import annotations
@@ -218,23 +222,37 @@ def is_pareto_optimal_integral(instance: Instance, allocation: IntegralAllocatio
                 acc += scaled[i][o]
             best_future[i][o] = acc
 
+    # Depth-first over the owners of items 0..o-1, held in path[] rather
+    # than on the call stack, so thousands of items cannot overflow it.
+    # sums[i] is agent i's scaled utility from the items decided so far.
     sums = [0] * n
+    path = [0] * m
     agents = range(n)
-
-    def dominator_below(o: int) -> bool:
+    o = 0
+    while True:
         for i in agents:
             if sums[i] + best_future[i][o] < target[i]:
+                break
+        else:
+            if o < m:
+                path[o] = 0
+                sums[0] += scaled[0][o]
+                o += 1
+                continue
+            if any(sums[i] > target[i] for i in agents):
                 return False
-        if o == m:
-            return any(sums[i] > target[i] for i in agents)
-        for a in agents:
-            sums[a] += scaled[a][o]
-            if dominator_below(o + 1):
+        # dead end: step to the next owner of the deepest item that has one
+        while True:
+            o -= 1
+            if o < 0:
                 return True
+            a = path[o]
             sums[a] -= scaled[a][o]
-        return False
-
-    return not dominator_below(0)
+            if a + 1 < n:
+                break
+        path[o] = a + 1
+        sums[a + 1] += scaled[a + 1][o]
+        o += 1
 
 
 def pareto_improvement_exists(instance: Instance, allocation: Allocation) -> bool:
@@ -286,11 +304,13 @@ def find_welfare_weights(instance: Instance, allocation: Allocation) -> Optional
     if solution.status != OPTIMAL:
         raise InvariantViolation(f"weight-search LP reported {solution.status}")
     weights = tuple(mu + 1 for mu in solution.assignment)
-    _recheck_weights(instance, graph, weights)
+    recheck_welfare_weights(instance, graph, weights)
     return weights
 
 
-def _recheck_weights(instance, graph, weights) -> None:
+def recheck_welfare_weights(instance: Instance, graph, weights) -> None:
+    """Raise InvariantViolation unless every consumer of every item in
+    ``graph`` maximizes weights[j] * u_j(o) over all agents j."""
     for o in instance.items:
         if not graph.item_agents[o]:
             continue

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv.core import FractionalAllocation, Instance
+from fairdiv.core import FractionalAllocation, Instance, IntegralAllocation
 from fairdiv.lp import OPTIMAL, solve
 from fairdiv.rounding import ExplorationStrategy, allocate, round_acyclic
 from fairdiv.verify import (
@@ -73,6 +73,32 @@ def test_pipeline_guarantees_on_random_suite(random_suite):
     elapsed = time.perf_counter() - start
     assert elapsed < 300
     print(f"500 random instances: PROP1 + PO + fPO all hold in {elapsed:.1f}s: pass")
+
+
+def _maximizers_consume(inst, allocation, weights) -> bool:
+    """Does every agent holding a positive share of an item maximize
+    weights[j] * u_j(item) over all agents j?"""
+    if isinstance(allocation, IntegralAllocation):
+        allocation = allocation.to_fractional()
+    rows = allocation.fractions
+    for o in inst.items:
+        scores = [weights[j] * inst.utilities[j][o] for j in inst.agents]
+        if any(rows[i][o] > 0 and scores[i] != max(scores) for i in inst.agents):
+            return False
+    return True
+
+
+def test_emitted_weights_certify_both_allocations(random_suite):
+    suite = random_suite + [goods_blocks_instance(), chores_blocks_instance(),
+                            identical_items_instance()]
+    for inst in suite:
+        result = allocate(inst)
+        weights = result.report.welfare_weights
+        assert len(weights) == inst.num_agents and all(w > 0 for w in weights)
+        assert _maximizers_consume(inst, result.fractional, weights)
+        assert _maximizers_consume(inst, result.integral, weights)
+    print(f"{len(suite)} instances: the emitted welfare weights certify the "
+          "fractional intermediate and the integral output: pass")
 
 
 def test_goods_instance_dominating_allocation_fails_prop1():

@@ -128,6 +128,19 @@ def test_parse_allocation_rejects_unknown_and_missing_ids():
         parse_allocation({"owner": {"p": "x"}}, agent_ids, item_ids)
 
 
+def test_verify_rejects_non_string_owner(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"agents": [{"id": "a"}], "items": ["p"],
+                                "utilities": [["1"]]}))
+    for owner in (["a"], {"id": "a"}, 0, None):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"owner": {"p": owner}}))
+        code, out, err = run_cli(capsys, "verify", str(inst), str(alloc))
+        assert code == 2
+        assert out is None
+        assert "agent id string" in json.loads(err)["error"]
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -275,6 +288,19 @@ def test_verify_po_cap_exceeded(capsys):
                            "--property", "po", "--cap", "10")
     assert code == 2
     assert err
+
+
+def test_verify_po_on_thousands_of_items(capsys, tmp_path):
+    m = 3000
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"agents": [{"id": "a"}],
+                                "items": [f"o{j}" for j in range(m)],
+                                "utilities": [[str(j % 7 - 3) for j in range(m)]]}))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"owner": {f"o{j}": "a" for j in range(m)}}))
+    code, out, _ = run_cli(capsys, "verify", str(inst), str(alloc), "--property", "po")
+    assert code == 0
+    assert out == {"properties": {"po": {"holds": True}}, "allHold": True}
 
 
 def test_verify_unknown_property(capsys):

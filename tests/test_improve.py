@@ -108,7 +108,7 @@ def test_chores_blocks_welfare_optimum_is_minus_half():
 @pytest.mark.parametrize("make", [goods_blocks_instance, chores_blocks_instance])
 def test_improve_reaches_the_welfare_optimum_acyclically(make):
     inst = make()
-    x = improve_to_acyclic_fpo(inst)
+    x, _ = improve_to_acyclic_fpo(inst)
     assert find_cycle(consumption_graph(x)) is None
     welfare = sum(utilities(inst, x), F(0))
     assert welfare == solve(dominance_welfare_lp(inst, proportional_seed(inst))).value
@@ -123,7 +123,7 @@ def test_improve_postconditions_on_random_instances():
         mode = rng.choice(["equal", "random"])
         inst = rand_instance(rng, n, m, weight_mode=mode)
         seed = proportional_seed(inst)
-        x = improve_to_acyclic_fpo(inst)
+        x, weights = improve_to_acyclic_fpo(inst)
         graph = consumption_graph(x)
         assert find_cycle(graph) is None
         for i in inst.agents:
@@ -135,6 +135,12 @@ def test_improve_postconditions_on_random_instances():
             signs = {(inst.value(i, o) > 0) - (inst.value(i, o) < 0)
                      for i in graph.item_agents[o]}
             assert len(signs) == 1
+        # the dual weights are >= 1 and every consumer maximizes lambda * u
+        assert len(weights) == n and all(w >= 1 for w in weights)
+        for o in inst.items:
+            best = max(weights[j] * inst.value(j, o) for j in inst.agents)
+            for i in graph.item_agents[o]:
+                assert weights[i] * inst.value(i, o) == best
 
 
 def test_improve_is_deterministic():
@@ -145,12 +151,14 @@ def test_improve_is_deterministic():
 
 def test_improve_single_agent_takes_everything():
     inst = Instance([[2, -3, 0]])
-    x = improve_to_acyclic_fpo(inst)
+    x, weights = improve_to_acyclic_fpo(inst)
     assert x.fractions == ((1, 1, 1),)
+    assert len(weights) == 1 and weights[0] >= 1
 
 
 def test_improve_with_no_items():
     inst = Instance([[], [], []])
-    x = improve_to_acyclic_fpo(inst)
+    x, weights = improve_to_acyclic_fpo(inst)
     assert x.num_items == 0
+    assert weights == (1, 1, 1)
     assert utilities(inst, x) == (0, 0, 0)

@@ -7,6 +7,9 @@ from fairdiv.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, so
 from helpers import is_vertex, rand_lp, vertex_enumeration_optimum
 
 
+F = Fraction
+
+
 def lp(num_vars, objective, constraints):
     return LpProblem(num_vars, tuple(objective), tuple(constraints))
 
@@ -37,6 +40,68 @@ def test_greater_equal_constraint():
     assert sol.status == OPTIMAL
     assert sol.value == -2
     assert sol.assignment == (2, 0)
+
+
+def test_duals_of_less_equal_rows():
+    # both rows tight at (2, 1): (1, 1) = 1/2 * (1, 2) + 1/2 * (1, 0)
+    sol = solve(lp(2, [1, 1], [((1, 2), "<=", 4), ((1, 0), "<=", 2)]))
+    assert sol.duals == (F(1, 2), F(1, 2))
+
+
+def test_duals_of_greater_equal_row_with_positive_rhs():
+    # optimum (2, 0); raising the >= rhs by d costs d, the boxes are slack
+    sol = solve(lp(2, [-1, -2], [((1, 1), ">=", 2), ((1, 0), "<=", 5), ((0, 1), "<=", 5)]))
+    assert sol.duals == (-1, 0, 0)
+
+
+def test_duals_of_rows_negated_for_negative_rhs():
+    # -x <= b gives x >= -b, optimum of max -x is b: shadow price 1
+    assert solve(lp(1, [-1], [((-1,), "<=", -2)])).duals == (1,)
+    # -x >= b gives x <= -b, optimum of max x is -b: shadow price -1
+    assert solve(lp(1, [1], [((-1,), ">=", -3)])).duals == (-1,)
+
+
+def test_duals_of_greater_equal_row_with_zero_rhs():
+    # max 2x + y, x + y <= 4, y - x >= b: optimum 6 - b/2 at b = 0, and the
+    # first row's price solves (2, 1) = p1 * (1, 1) + p2 * (-1, 1)
+    sol = solve(lp(2, [2, 1], [((1, 1), "<=", 4), ((-1, 1), ">=", 0)]))
+    assert sol.assignment == (2, 2)
+    assert sol.duals == (F(3, 2), F(-1, 2))
+
+
+def test_duals_of_equality_rows_are_none():
+    sol = solve(lp(2, [0, 1], [((1, 1), "=", 1), ((1, 0), "<=", 1)]))
+    assert sol.duals == (None, 0)
+
+
+def test_duals_are_optimal_for_the_dual_program():
+    # on inequality-only programs, the duals must be sign-feasible, price
+    # every column at or above its cost, and match the primal optimum
+    rng = random.Random(99)
+    checked = 0
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        cons = []
+        for v in range(k):
+            cons.append((tuple(F(int(j == v)) for j in range(k)), "<=", F(rng.randint(1, 6))))
+        for _ in range(rng.randint(0, 4)):
+            coeffs = tuple(F(rng.randint(-4, 4)) for _ in range(k))
+            cons.append((coeffs, rng.choice(["<=", ">="]), F(rng.randint(-3, 3))))
+        problem = lp(k, [rng.randint(-5, 5) for _ in range(k)], cons)
+        sol = solve(problem)
+        if sol.status != OPTIMAL:
+            continue
+        duals = sol.duals
+        for (_, rel, _), y in zip(problem.constraints, duals):
+            assert y >= 0 if rel == "<=" else y <= 0
+        for j in range(k):
+            priced = sum((y * coeffs[j] for (coeffs, _, _), y in zip(problem.constraints, duals)),
+                         F(0))
+            assert priced >= problem.objective[j]
+        assert sum((y * rhs for (_, _, rhs), y in zip(problem.constraints, duals)),
+                   F(0)) == sol.value
+        checked += 1
+    assert checked >= 30
 
 
 def test_infeasible():

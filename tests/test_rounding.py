@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from fairdiv.core import (
     InvariantViolation,
     utilities,
 )
+from fairdiv import rounding
+from fairdiv.lp import solve as lp_solve
 from fairdiv.rounding import (
     DEFAULT_STRATEGY,
     ExplorationStrategy,
@@ -210,6 +213,36 @@ def test_pipeline_chores_blocks():
     assert result.report.fpo_certified
     assert result.report.welfare_weights is not None
     assert weighted_prop(inst, result.fractional).holds
+
+
+def test_pipeline_solves_one_lp(monkeypatch):
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return lp_solve(problem)
+
+    # every module that imported the solver holds its own reference
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fairdiv") and getattr(module, "solve", None) is lp_solve:
+            monkeypatch.setattr(module, "solve", counting)
+    rng = random.Random(8)
+    for trial in range(10):
+        inst = rand_instance(rng, rng.randint(2, 4), rng.randint(2, 6),
+                             weight_mode="random" if trial % 2 else "equal")
+        calls.clear()
+        allocate(inst)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [(F(1), F(100)), (F(0), F(1))])
+def test_pipeline_rejects_weights_that_do_not_certify(monkeypatch, bad):
+    inst = Instance([[4, 1], [1, 4]])
+    improve = rounding.improve_to_acyclic_fpo
+    monkeypatch.setattr(rounding, "improve_to_acyclic_fpo",
+                        lambda instance: (improve(instance)[0], bad))
+    with pytest.raises(InvariantViolation):
+        allocate(inst)
 
 
 def test_pipeline_is_deterministic():
