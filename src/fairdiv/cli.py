@@ -3,13 +3,15 @@ instances, and exhaustively search allocation space for a property.
 
 Exit codes: 0 success or property holds, 1 a requested property is
 violated (for search: no satisfying allocation), 2 input error, 3
-internal invariant failure.
+internal invariant failure or any other unexpected error. Errors go to
+stderr as one JSON object, never as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -51,6 +53,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _error(str(exc))
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a bug: report it and where it was raised, not a traceback
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        _error(f"internal error at {where}: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,9 +202,20 @@ def _cmd_search(args) -> int:
 def _load(path):
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # malformed JSON or text, or a repeated key
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _unique_keys(pairs) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r} in one object")
+            seen.add(key)
+    return doc
 
 
 def _emit(doc) -> None:

@@ -7,8 +7,10 @@ touches floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -25,7 +27,12 @@ class EnumerationCapExceeded(FairDivisionError):
 
 
 def as_fraction(value: Union[int, Fraction]) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject floats outright."""
+    """Coerce an int or Fraction to Fraction; reject floats outright.
+
+    A Fraction is immutable, so one is returned as it is rather than copied.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ValueError("floats are not exact; pass int, Fraction, or a rational string")
     return Fraction(value)
@@ -39,6 +46,12 @@ class Instance:
     agent i's value for item o; positive entries are goods for that agent,
     negative entries chores. Weights are entitlements; they are normalized to
     sum to 1 at construction, so only their proportions matter.
+
+    ``integer_rows[i]`` is agent i's row over one denominator: a pair
+    ``(d, N)`` with ``d`` the lcm of the row's denominators and
+    ``u_i(o) = N[o] / d`` for integers ``N[o]``. Comparisons within one
+    agent's row are invariant under that positive scaling, so sums and
+    item choices run on integers.
     """
 
     utilities: tuple
@@ -80,12 +93,22 @@ class Instance:
     def items(self) -> range:
         return range(self.num_items)
 
+    @cached_property
+    def integer_rows(self) -> tuple:
+        out = []
+        for row in self.utilities:
+            dens = [v.denominator for v in row]
+            d = math.lcm(*set(dens))
+            out.append((d, tuple([v.numerator * (d // q) for v, q in zip(row, dens)])))
+        return tuple(out)
+
     def value(self, agent: int, item: int) -> Fraction:
         return self.utilities[agent][item]
 
     def total_value(self, agent: int) -> Fraction:
         """Agent's value for the whole item set O."""
-        return sum(self.utilities[agent], Fraction(0))
+        d, row = self.integer_rows[agent]
+        return Fraction(sum(row), d)
 
 
 @dataclass(frozen=True)
@@ -212,9 +235,10 @@ def _check_shape(instance: Instance, allocation: Allocation) -> None:
 def utility(instance: Instance, allocation: Allocation, agent: int) -> Fraction:
     """Agent's additive utility for its (possibly fractional) bundle."""
     _check_shape(instance, allocation)
-    row = instance.utilities[agent]
     if isinstance(allocation, IntegralAllocation):
-        return sum((row[o] for o, a in enumerate(allocation.owners) if a == agent), Fraction(0))
+        d, row = instance.integer_rows[agent]
+        return Fraction(sum(v for v, a in zip(row, allocation.owners) if a == agent), d)
+    row = instance.utilities[agent]
     frac = allocation.fractions[agent]
     return sum((row[o] * frac[o] for o in instance.items if frac[o]), Fraction(0))
 

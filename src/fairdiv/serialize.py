@@ -7,26 +7,67 @@ over, so floats are rejected with an error saying what to write instead.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from fairdiv.core import FractionalAllocation, Instance, IntegralAllocation
 from fairdiv.verify import AgentWitness, PropertyReport
 
 
+# Longest rational string accepted, and the largest decimal exponent
+# magnitude: both are read off the text before Fraction expands it, so
+# "1e999999999" is refused without building a billion-digit integer.
+MAX_RATIONAL_CHARS = 1000
+MAX_DECIMAL_EXPONENT = 1000
+_INT_LIMIT = 10 ** MAX_RATIONAL_CHARS
+_INTEGER_OR_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# Fraction's string grammar as of Python 3.10. Later versions accept more
+# (underscores between digits from 3.11, spaces around "/" from 3.12), so
+# strings are held to this one first and read the same on every version.
+_RATIONAL = re.compile(r"""
+    \s*[-+]?(?=\d|\.\d)\d*                 # sign, integer part
+    (?:/\d+                                # then a denominator,
+    |(?:\.\d*)?(?:E(?P<exp>[-+]?\d+))?)     # or decimals and an exponent
+    \s*""", re.VERBOSE | re.IGNORECASE)
+
+
 def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"expected a rational string, got {value!r}")
-    if isinstance(value, int):
+    """Read a JSON integer or a rational string exactly.
+
+    A string is at most MAX_RATIONAL_CHARS long and follows the grammar of
+    ``fractions.Fraction`` on Python 3.10, with a decimal exponent of at
+    most MAX_DECIMAL_EXPONENT in magnitude. A JSON integer has at most
+    MAX_RATIONAL_CHARS digits.
+    """
+    if isinstance(value, str):
+        return _parse_rational_text(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        if not -_INT_LIMIT < value < _INT_LIMIT:
+            raise ValueError(f"integer has more than {MAX_RATIONAL_CHARS} digits")
         return Fraction(value)
     if isinstance(value, float):
         raise ValueError(
             f'floating-point value {value!r} is not exact; write it as a string like "3/10"')
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cannot parse rational {value!r}") from None
     raise ValueError(f"expected a rational string, got {value!r}")
+
+
+def _parse_rational_text(text: str) -> Fraction:
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rational string longer than {MAX_RATIONAL_CHARS} characters")
+    try:
+        plain = _INTEGER_OR_RATIO.fullmatch(text)
+        if plain:
+            num, den = plain.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        match = _RATIONAL.fullmatch(text)
+        if match:
+            if match["exp"] and abs(int(match["exp"])) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
+            return Fraction(text)
+    except ZeroDivisionError:
+        pass
+    raise ValueError(f"cannot parse rational {text!r}")
 
 
 def format_rational(value: Fraction) -> str:

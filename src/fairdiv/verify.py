@@ -19,7 +19,6 @@ of that: they decide ``verify --property fpo`` and serve as test oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -31,6 +30,7 @@ from fairdiv.core import (
     Instance,
     IntegralAllocation,
     InvariantViolation,
+    _check_shape,
     consumption_graph,
     proportional_share,
     utilities,
@@ -99,35 +99,36 @@ def weighted_prop1(instance: Instance, allocation: IntegralAllocation) -> Proper
     item it does own. The witness carries the certifying rule and item; for
     a failing agent it carries the best adjustment available, whose
     adjusted value still falls short of the bound.
+
+    Items are chosen and compared on the agent's integer row N over d: with
+    weight p/q and total T = sum(N), "v/d >= (p/q)(T/d)" is "v*q >= p*T".
     """
     _require_integral(allocation)
     witnesses = []
-    for i in instance.agents:
-        row = instance.utilities[i]
-        value = utility(instance, allocation, i)
-        bound = proportional_share(instance, i)
-        unowned = [o for o in instance.items if allocation.owners[o] != i]
-        owned = [o for o in instance.items if allocation.owners[o] == i]
-        best_add = max(unowned, key=lambda o: (row[o], -o)) if unowned else None
-        best_rm = min(owned, key=lambda o: (row[o], o)) if owned else None
+    for i, (d, row, owned, unowned) in enumerate(_integer_bundles(instance, allocation)):
+        value = sum(row[o] for o in owned)
+        p, q = instance.weights[i].as_integer_ratio()
+        need = p * sum(row)
+        # max/min return the first extreme item, i.e. the lowest index
+        best_add = max(unowned, key=row.__getitem__, default=None)
+        best_rm = min(owned, key=row.__getitem__, default=None)
 
-        if value >= bound:
-            w = AgentWitness(i, True, MEETS_BOUND, None, value, bound, value)
-        elif best_add is not None and value + row[best_add] >= bound:
-            w = AgentWitness(i, True, ADD_ITEM, best_add, value, bound,
-                             value + row[best_add])
-        elif best_rm is not None and value - row[best_rm] >= bound:
-            w = AgentWitness(i, True, REMOVE_ITEM, best_rm, value, bound,
-                             value - row[best_rm])
+        if value * q >= need:
+            ok, rule, item, adjusted = True, MEETS_BOUND, None, value
+        elif best_add is not None and (value + row[best_add]) * q >= need:
+            ok, rule, item, adjusted = True, ADD_ITEM, best_add, value + row[best_add]
+        elif best_rm is not None and (value - row[best_rm]) * q >= need:
+            ok, rule, item, adjusted = True, REMOVE_ITEM, best_rm, value - row[best_rm]
         else:
             options = [(value, None, None)]
             if best_add is not None:
                 options.append((value + row[best_add], ADD_ITEM, best_add))
             if best_rm is not None:
                 options.append((value - row[best_rm], REMOVE_ITEM, best_rm))
+            ok = False
             adjusted, rule, item = max(options, key=lambda t: t[0])
-            w = AgentWitness(i, False, rule, item, value, bound, adjusted)
-        witnesses.append(w)
+        witnesses.append(AgentWitness(i, ok, rule, item, Fraction(value, d),
+                                      Fraction(need, q * d), Fraction(adjusted, d)))
     return _report("weighted-prop1", witnesses)
 
 
@@ -137,31 +138,33 @@ def propx(instance: Instance, allocation: IntegralAllocation) -> PropertyReport:
     Removing any owned chore and adding any unowned good must each keep the
     agent at or above u_i(O)/n. The witness records the worst adjustment:
     the one with the smallest adjusted value (violating it, if any does).
+    Either adjustment raises the bundle value by |u_i(o)|, so the worst is
+    the owned chore or unowned good with the least |N[o]| on the agent's
+    integer row, lowest index first.
     """
     _require_integral(allocation)
     n = instance.num_agents
     witnesses = []
-    for i in instance.agents:
-        row = instance.utilities[i]
-        value = utility(instance, allocation, i)
-        bound = instance.total_value(i) / n
-        adjustments = []
-        for o in instance.items:
-            if allocation.owners[o] == i and row[o] < 0:
-                adjustments.append((value - row[o], o, REMOVE_ITEM))
-            elif allocation.owners[o] != i and row[o] > 0:
-                adjustments.append((value + row[o], o, ADD_ITEM))
-        if not adjustments:
+    for i, (d, row, owned, unowned) in enumerate(_integer_bundles(instance, allocation)):
+        value = sum(row[o] for o in owned)
+        total = sum(row)
+        bundle_value, bound = Fraction(value, d), Fraction(total, d * n)
+        extremes = [o for o in owned if row[o] < 0] + [o for o in unowned if row[o] > 0]
+        if not extremes:
             # no extreme item to quantify over; the bundle itself decides
-            witnesses.append(AgentWitness(i, value >= bound, MEETS_BOUND, None,
-                                          value, bound, value))
+            witnesses.append(AgentWitness(i, value * n >= total, MEETS_BOUND, None,
+                                          bundle_value, bound, bundle_value))
             continue
-        adjusted, item, rule = min(adjustments)
-        ok = adjusted >= bound
-        if ok and value >= bound:
-            witnesses.append(AgentWitness(i, True, MEETS_BOUND, None, value, bound, value))
+        item = min(extremes, key=lambda o: (abs(row[o]), o))
+        adjusted = value + abs(row[item])
+        ok = adjusted * n >= total
+        if ok and value * n >= total:
+            witnesses.append(AgentWitness(i, True, MEETS_BOUND, None,
+                                          bundle_value, bound, bundle_value))
         else:
-            witnesses.append(AgentWitness(i, ok, rule, item, value, bound, adjusted))
+            rule = REMOVE_ITEM if row[item] < 0 else ADD_ITEM
+            witnesses.append(AgentWitness(i, ok, rule, item, bundle_value, bound,
+                                          Fraction(adjusted, d)))
     return _report("propx", witnesses)
 
 
@@ -208,7 +211,7 @@ def is_pareto_optimal_integral(instance: Instance, allocation: IntegralAllocatio
     _require_integral(allocation)
     _check_cap(instance, cap)
     n, m = instance.num_agents, instance.num_items
-    scaled = _scaled_utilities(instance)
+    scaled = [row for _, row in instance.integer_rows]
     target = [0] * n
     for o, owner in enumerate(allocation.owners):
         target[owner] += scaled[owner][o]
@@ -336,12 +339,12 @@ def _check_cap(instance: Instance, cap: int) -> None:
             f"{instance.num_agents}**{instance.num_items} = {size} allocations exceed cap {cap}")
 
 
-def _scaled_utilities(instance: Instance) -> list:
-    """Per-agent integer utilities: row i scaled by the lcm of its
-    denominators. Dominance comparisons are invariant under positive
-    per-agent scaling, and integer sums are much faster than Fractions."""
-    out = []
-    for row in instance.utilities:
-        scale = math.lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * scale) for v in row])
-    return out
+
+
+def _integer_bundles(instance: Instance, allocation: IntegralAllocation):
+    """Per agent, lazily: its integer row (d, N) and the ascending lists of
+    the items it owns and does not own."""
+    _check_shape(instance, allocation)
+    bundles, owners = allocation.bundles(), allocation.owners
+    return ((d, row, bundles[i], [o for o, a in enumerate(owners) if a != i])
+            for i, (d, row) in enumerate(instance.integer_rows))

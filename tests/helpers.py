@@ -17,6 +17,7 @@ from fairdiv.core import (
     Instance,
     IntegralAllocation,
 )
+from fairdiv.verify import ADD_ITEM, MEETS_BOUND, REMOVE_ITEM, AgentWitness, PropertyReport
 
 F = Fraction
 
@@ -296,3 +297,91 @@ def is_vertex(problem, point) -> bool:
     if not tight:
         return False
     return matrix_rank(tight) == k
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles for the proportionality checkers
+#
+# The library checkers compare on each agent's integer row. These are the
+# plain Fraction definitions they replaced: sum the bundle, build every
+# adjustment, compare rationals. They return the same PropertyReport, so a
+# test can compare the two witness by witness.
+
+
+def oracle_total_value(instance: Instance, agent: int) -> Fraction:
+    return sum(instance.utilities[agent], Fraction(0))
+
+
+def _oracle_bundle_value(instance: Instance, owners, agent: int) -> Fraction:
+    row = instance.utilities[agent]
+    return sum((row[o] for o, a in enumerate(owners) if a == agent), Fraction(0))
+
+
+def oracle_weighted_prop(instance: Instance, allocation: IntegralAllocation):
+    witnesses = []
+    for i in instance.agents:
+        value = _oracle_bundle_value(instance, allocation.owners, i)
+        bound = instance.weights[i] * oracle_total_value(instance, i)
+        ok = value >= bound
+        witnesses.append(AgentWitness(i, ok, MEETS_BOUND if ok else None, None,
+                                      value, bound, value))
+    return PropertyReport("weighted-prop", all(w.satisfied for w in witnesses),
+                          tuple(witnesses))
+
+
+def oracle_weighted_prop1(instance: Instance, allocation: IntegralAllocation):
+    witnesses = []
+    for i in instance.agents:
+        row = instance.utilities[i]
+        value = _oracle_bundle_value(instance, allocation.owners, i)
+        bound = instance.weights[i] * oracle_total_value(instance, i)
+        unowned = [o for o in instance.items if allocation.owners[o] != i]
+        owned = [o for o in instance.items if allocation.owners[o] == i]
+        best_add = max(unowned, key=lambda o: (row[o], -o)) if unowned else None
+        best_rm = min(owned, key=lambda o: (row[o], o)) if owned else None
+
+        if value >= bound:
+            w = AgentWitness(i, True, MEETS_BOUND, None, value, bound, value)
+        elif best_add is not None and value + row[best_add] >= bound:
+            w = AgentWitness(i, True, ADD_ITEM, best_add, value, bound,
+                             value + row[best_add])
+        elif best_rm is not None and value - row[best_rm] >= bound:
+            w = AgentWitness(i, True, REMOVE_ITEM, best_rm, value, bound,
+                             value - row[best_rm])
+        else:
+            options = [(value, None, None)]
+            if best_add is not None:
+                options.append((value + row[best_add], ADD_ITEM, best_add))
+            if best_rm is not None:
+                options.append((value - row[best_rm], REMOVE_ITEM, best_rm))
+            adjusted, rule, item = max(options, key=lambda t: t[0])
+            w = AgentWitness(i, False, rule, item, value, bound, adjusted)
+        witnesses.append(w)
+    return PropertyReport("weighted-prop1", all(w.satisfied for w in witnesses),
+                          tuple(witnesses))
+
+
+def oracle_propx(instance: Instance, allocation: IntegralAllocation):
+    n = instance.num_agents
+    witnesses = []
+    for i in instance.agents:
+        row = instance.utilities[i]
+        value = _oracle_bundle_value(instance, allocation.owners, i)
+        bound = oracle_total_value(instance, i) / n
+        adjustments = []
+        for o in instance.items:
+            if allocation.owners[o] == i and row[o] < 0:
+                adjustments.append((value - row[o], o, REMOVE_ITEM))
+            elif allocation.owners[o] != i and row[o] > 0:
+                adjustments.append((value + row[o], o, ADD_ITEM))
+        if not adjustments:
+            witnesses.append(AgentWitness(i, value >= bound, MEETS_BOUND, None,
+                                          value, bound, value))
+            continue
+        adjusted, item, rule = min(adjustments)
+        ok = adjusted >= bound
+        if ok and value >= bound:
+            witnesses.append(AgentWitness(i, True, MEETS_BOUND, None, value, bound, value))
+        else:
+            witnesses.append(AgentWitness(i, ok, rule, item, value, bound, adjusted))
+    return PropertyReport("propx", all(w.satisfied for w in witnesses), tuple(witnesses))

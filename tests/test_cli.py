@@ -6,10 +6,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fairdiv import cli, serialize
 from fairdiv.cli import main
 from fairdiv.core import Instance, IntegralAllocation
 from fairdiv.serialize import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_RATIONAL_CHARS,
     parse_allocation,
     parse_instance,
     parse_rational,
@@ -79,6 +84,75 @@ def test_parse_rational_rejects_floats_and_booleans():
         parse_rational("3/0")
     with pytest.raises(ValueError):
         parse_rational("abc")
+
+
+_digits = st.text("0123456789", max_size=4)  # empty, or with leading zeros
+_space = st.sampled_from(["", " ", "\t", "\n", " \n "])
+_sign = st.sampled_from(["", "-", "+"])
+_exponent = st.tuples(st.sampled_from("eE"), _sign,
+                      st.text("0123456789", max_size=3)).map("".join)
+_tail = st.one_of(
+    st.just(""),
+    _digits.map(lambda d: "/" + d),  # "/0" and "/" included
+    st.tuples(st.sampled_from(["", "."]), _digits, st.just("") | _exponent).map("".join),
+)
+_rational_text = st.one_of(
+    st.tuples(_space, _sign, _digits, _tail, _space).map("".join),
+    st.text("0123456789+-/. ", max_size=8),  # exponents stay in _exponent's range
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_rational_text)
+def test_parse_rational_agrees_with_fraction_on_strings(text):
+    # Python 3.12 alone also allows spaces around "/"; this grammar does not
+    assume(not any(c.isspace() for c in text.strip()))
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert got == expected and type(got) is F
+
+
+def test_parse_rational_uses_one_grammar_on_every_python():
+    # Fraction accepts these on some Python versions and not on others
+    for text in ("1_000", "1_0/2", "0.5_0", "1e1_0", "1 / 2", "1/ 2", "1 /2"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_rational(text)
+
+
+def test_parse_rational_bounds_exponent_without_expanding(monkeypatch):
+    def no_string_fractions(*args):
+        assert not any(isinstance(a, str) for a in args), "Fraction(str) was called"
+        return F(*args)
+
+    monkeypatch.setattr(serialize, "Fraction", no_string_fractions)
+    for text in ("1e999999999", "1E-999999999", "2.5e+1001"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+
+
+def test_parse_rational_bounds_length_and_digits():
+    assert parse_rational(f"1e{MAX_DECIMAL_EXPONENT}") == 10 ** MAX_DECIMAL_EXPONENT
+    assert parse_rational("7" * MAX_RATIONAL_CHARS) == int("7" * MAX_RATIONAL_CHARS)
+    with pytest.raises(ValueError, match="longer than"):
+        parse_rational("7" * (MAX_RATIONAL_CHARS + 1))
+    assert parse_rational(10 ** MAX_RATIONAL_CHARS - 1) == 10 ** MAX_RATIONAL_CHARS - 1
+    with pytest.raises(ValueError, match="digits"):
+        parse_rational(-10 ** MAX_RATIONAL_CHARS)
+
+
+def test_huge_exponent_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"agents": [{"id": "x"}], "items": ["p"],
+                                "utilities": [["1e999999999"]]}))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out is None
+    assert "exponent" in json.loads(err)["error"]
 
 
 def test_parse_instance_defaults_to_equal_weights():
@@ -219,6 +293,36 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", str(path))
     assert code == 2
     assert "not valid JSON" in json.loads(err)["error"]
+
+
+def test_duplicate_json_keys_are_an_input_error(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"agents": [{"id": "x"}], "items": ["p"], '
+                    '"utilities": [["1"]], "items": ["q"]}')
+    code, out, err = run_cli(capsys, "solve", str(inst))
+    assert code == 2 and out is None
+    assert "duplicate key 'items'" in json.loads(err)["error"]
+
+    inst.write_text(json.dumps({"agents": [{"id": "x"}, {"id": "y"}], "items": ["p"],
+                                "utilities": [["1"], ["2"]]}))
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text('{"owner": {"p": "x", "p": "y"}}')
+    code, out, err = run_cli(capsys, "verify", str(inst), str(alloc))
+    assert code == 2 and out is None
+    assert "duplicate key 'p'" in json.loads(err)["error"]
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "parse_instance", broken)
+    code, out, err = run_cli(capsys, "solve", fixture("goods_blocks"))
+    assert code == 3 and out is None
+    message = json.loads(err)["error"]
+    assert message.startswith("internal error at test_cli.py:")
+    assert message.endswith("TypeError: unsupported operand")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

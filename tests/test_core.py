@@ -9,6 +9,7 @@ from fairdiv.core import (
     FractionalAllocation,
     Instance,
     IntegralAllocation,
+    as_fraction,
     consumption_graph,
     find_cycle,
     proportional_share,
@@ -46,6 +47,28 @@ def test_instance_allows_zero_items():
     assert inst.num_items == 0
     assert inst.total_value(0) == 0
     assert proportional_share(inst, 1) == 0
+
+
+def test_integer_rows_scale_each_row_by_the_lcm_of_its_denominators():
+    inst = Instance([[Fraction(1, 2), Fraction(-1, 3), 0, 5], [1, 2, 3, 4]])
+    assert inst.integer_rows == ((6, (3, -2, 0, 30)), (1, (1, 2, 3, 4)))
+    assert inst.total_value(0) == Fraction(31, 6)
+    assert Instance([[], []]).integer_rows == ((1, ()), (1, ()))
+    rng = random.Random(5)
+    for _ in range(30):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(5)]
+                for _ in range(3)]
+        inst = Instance(rows)
+        for row, (d, scaled) in zip(inst.utilities, inst.integer_rows):
+            assert [Fraction(v, d) for v in scaled] == list(row)
+            assert all(d % v.denominator == 0 for v in row)
+
+
+def test_as_fraction_keeps_fractions_and_converts_ints():
+    half = Fraction(1, 2)
+    assert as_fraction(half) is half
+    assert as_fraction(3) == 3 and type(as_fraction(3)) is Fraction
+    assert Instance([[half]]).utilities[0][0] is half
 
 
 def test_proportional_share_equal_weights():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdiv.core import (
     EnumerationCapExceeded,
@@ -36,6 +38,10 @@ from helpers import (
     chores_blocks_instance,
     goods_blocks_instance,
     identical_items_instance,
+    oracle_propx,
+    oracle_total_value,
+    oracle_weighted_prop,
+    oracle_weighted_prop1,
     rand_instance,
 )
 
@@ -44,6 +50,51 @@ F = Fraction
 
 def rand_integral(rng, n, m):
     return IntegralAllocation(n, tuple(rng.randrange(n) for _ in range(m)))
+
+
+# ---------------------------------------------------------------------------
+# integer checkers against their Fraction definitions
+
+# small numerators over denominators 1..12, so zeros, both signs, equal
+# values within a row and bundles landing exactly on the bound all occur
+_values = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def _instance_and_owners(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(_values, min_size=m, max_size=m), min_size=n, max_size=n))
+    weights = draw(st.none() | st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    return Instance(rows, weights), IntegralAllocation(n, tuple(owners))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_instance_and_owners())
+def test_checkers_match_fraction_oracles_witness_by_witness(case):
+    inst, alloc = case
+    assert weighted_prop(inst, alloc) == oracle_weighted_prop(inst, alloc)
+    assert weighted_prop1(inst, alloc) == oracle_weighted_prop1(inst, alloc)
+    assert propx(inst, alloc) == oracle_propx(inst, alloc)
+    for i in inst.agents:
+        assert inst.total_value(i) == oracle_total_value(inst, i)
+
+
+def test_checkers_match_fraction_oracles_on_ties():
+    # every value equal: every add/remove choice is a tie, broken to the
+    # lowest index, and equal shares land exactly on the bound
+    inst = Instance([[F(1, 3)] * 6, [F(-1, 2)] * 6, [0] * 6])
+    for owners in itertools.product(range(3), repeat=6):
+        alloc = IntegralAllocation(3, owners)
+        assert weighted_prop1(inst, alloc) == oracle_weighted_prop1(inst, alloc)
+        assert propx(inst, alloc) == oracle_propx(inst, alloc)
+
+
+def test_integer_checkers_reject_a_mismatched_shape():
+    inst = Instance([[1, 2], [3, 4]])
+    for check in (weighted_prop1, propx):
+        with pytest.raises(ValueError, match="shape"):
+            check(inst, IntegralAllocation(3, (0, 1)))
 
 
 # ---------------------------------------------------------------------------
