@@ -10,6 +10,7 @@ stderr as one JSON object, never as a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -62,7 +63,11 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: a parser is a web of reference cycles that
+    # only the cyclic collector would free, and parse_args keeps no state
+    # in it between calls.
     parser = argparse.ArgumentParser(
         prog="fairdiv",
         description="Fair division of mixed goods and chores under entitlements.")

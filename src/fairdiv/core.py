@@ -1,8 +1,11 @@
 """Exact-arithmetic primitives: instances, allocations, consumption graphs.
 
-All quantities are ``fractions.Fraction`` so that equality tests (LP optima,
-Pareto comparisons, share thresholds) are decidable. Nothing in this package
-touches floating point.
+Every quantity is an exact rational, so that equality tests (LP optima,
+Pareto comparisons, share thresholds) are decidable. An instance stores
+each agent's utilities as one integer row over a common denominator, and
+builds the ``fractions.Fraction`` matrix only when the LP or the output
+asks for it; weights and allocations are ``Fraction``s. Nothing in this
+package touches floating point.
 """
 
 from __future__ import annotations
@@ -38,52 +41,88 @@ def as_fraction(value: Union[int, Fraction]) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+def integer_row(ratios) -> tuple:
+    """Agent row ``(d, N)`` from its values as lowest-terms ``(p, q)`` pairs,
+    ``q >= 1``: ``d`` is the lcm of the q's and ``N[o] = p * (d // q)``, so
+    that ``u(o) = N[o] / d``. That ``d`` is the least common denominator,
+    which makes the row canonical."""
+    d = math.lcm(*{q for _, q in ratios})
+    if d == 1:
+        return 1, tuple([p for p, _ in ratios])
+    return d, tuple([p * (d // q) for p, q in ratios])
+
+
+@dataclass(frozen=True, init=False)
 class Instance:
     """A fair division instance with additive utilities and agent weights.
 
-    Agents and items are addressed by 0-based index. ``utilities[i][o]`` is
-    agent i's value for item o; positive entries are goods for that agent,
-    negative entries chores. Weights are entitlements; they are normalized to
-    sum to 1 at construction, so only their proportions matter.
+    Agents and items are addressed by 0-based index. Agent i's value for
+    item o is ``N[o] / d`` with ``(d, N) = integer_rows[i]``: ``d`` is the
+    lcm of the denominators of the row's values, ``N`` a tuple of ints.
+    Positive entries are goods for that agent, negative entries chores.
+    Comparisons within one agent's row are invariant under that positive
+    scaling, so sums and item choices run on integers. ``utilities[i][o]``
+    gives the same values as ``Fraction``s; it is built on first use and
+    kept. Weights are entitlements; they are normalized to sum to 1 at
+    construction, so only their proportions matter.
 
-    ``integer_rows[i]`` is agent i's row over one denominator: a pair
-    ``(d, N)`` with ``d`` the lcm of the row's denominators and
-    ``u_i(o) = N[o] / d`` for integers ``N[o]``. Comparisons within one
-    agent's row are invariant under that positive scaling, so sums and
-    item choices run on integers.
+    ``Instance(utilities, weights)`` takes ints and ``Fraction``s and keeps
+    the ``Fraction``s it is given as ``utilities``;
+    ``Instance.from_integer_rows`` takes the rows themselves. Equality and
+    hashing use ``(integer_rows, weights)``, which is canonical.
     """
 
-    utilities: tuple
-    weights: tuple = None
+    integer_rows: tuple
+    weights: tuple
 
-    def __post_init__(self):
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in self.utilities)
+    def __init__(self, utilities, weights=None):
+        rows = tuple(tuple(as_fraction(v) for v in row) for row in utilities)
+        self._set_rows(tuple(integer_row([(v.numerator, v.denominator) for v in row])
+                             for row in rows), weights)
+        self.__dict__["utilities"] = rows
+
+    @classmethod
+    def from_integer_rows(cls, rows, weights=None) -> "Instance":
+        """An instance from canonical rows ``(d, N)`` as ``integer_row``
+        returns them: ``d >= 1`` and ``gcd(d, *N) == 1``."""
+        rows = tuple((d, tuple(row)) for d, row in rows)
+        for d, row in rows:
+            if d < 1 or math.gcd(d, *row) != 1:
+                raise ValueError("an integer row needs d >= 1 and gcd(d, *N) == 1")
+        instance = cls.__new__(cls)
+        instance._set_rows(rows, weights)
+        return instance
+
+    def _set_rows(self, rows: tuple, weights) -> None:
         if not rows:
             raise ValueError("an instance needs at least one agent")
-        m = len(rows[0])
-        if any(len(row) != m for row in rows):
+        m = len(rows[0][1])
+        if any(len(row) != m for _, row in rows):
             raise ValueError("utility rows must all have the same length")
-        if self.weights is None:
+        if weights is None:
             w = tuple(Fraction(1, len(rows)) for _ in rows)
         else:
-            w = tuple(as_fraction(v) for v in self.weights)
+            w = tuple(as_fraction(v) for v in weights)
             if len(w) != len(rows):
                 raise ValueError("need exactly one weight per agent")
             if any(v <= 0 for v in w):
                 raise ValueError("weights must be strictly positive")
             total = sum(w)
             w = tuple(v / total for v in w)
-        object.__setattr__(self, "utilities", rows)
+        object.__setattr__(self, "integer_rows", rows)
         object.__setattr__(self, "weights", w)
+
+    @cached_property
+    def utilities(self) -> tuple:
+        return tuple(tuple(Fraction(v, d) for v in row) for d, row in self.integer_rows)
 
     @property
     def num_agents(self) -> int:
-        return len(self.utilities)
+        return len(self.integer_rows)
 
     @property
     def num_items(self) -> int:
-        return len(self.utilities[0])
+        return len(self.integer_rows[0][1])
 
     @property
     def agents(self) -> range:
@@ -92,15 +131,6 @@ class Instance:
     @property
     def items(self) -> range:
         return range(self.num_items)
-
-    @cached_property
-    def integer_rows(self) -> tuple:
-        out = []
-        for row in self.utilities:
-            dens = [v.denominator for v in row]
-            d = math.lcm(*set(dens))
-            out.append((d, tuple([v.numerator * (d // q) for v, q in zip(row, dens)])))
-        return tuple(out)
 
     def value(self, agent: int, item: int) -> Fraction:
         return self.utilities[agent][item]

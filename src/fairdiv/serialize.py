@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
-from fairdiv.core import FractionalAllocation, Instance, IntegralAllocation
+from fairdiv.core import FractionalAllocation, Instance, IntegralAllocation, integer_row
 from fairdiv.verify import AgentWitness, PropertyReport
 
 
@@ -55,10 +56,6 @@ def _parse_rational_text(text: str) -> Fraction:
     if len(text) > MAX_RATIONAL_CHARS:
         raise ValueError(f"rational string longer than {MAX_RATIONAL_CHARS} characters")
     try:
-        plain = _INTEGER_OR_RATIO.fullmatch(text)
-        if plain:
-            num, den = plain.groups()
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         match = _RATIONAL.fullmatch(text)
         if match:
             if match["exp"] and abs(int(match["exp"])) > MAX_DECIMAL_EXPONENT:
@@ -70,6 +67,28 @@ def _parse_rational_text(text: str) -> Fraction:
     raise ValueError(f"cannot parse rational {text!r}")
 
 
+def _ratio(value) -> tuple:
+    """``parse_rational(value)`` as a lowest-terms ``(numerator, denominator)``
+    pair. A JSON integer and the plain strings ``-?[0-9]+`` and
+    ``-?[0-9]+/[0-9]+`` are read without building a ``Fraction``; anything
+    else goes through ``parse_rational``, with its bounds and errors."""
+    if type(value) is int:
+        if -_INT_LIMIT < value < _INT_LIMIT:
+            return value, 1
+    elif type(value) is str and len(value) <= MAX_RATIONAL_CHARS:
+        plain = _INTEGER_OR_RATIO.fullmatch(value)
+        if plain:
+            num, den = plain.groups()
+            if den is None:
+                return int(num), 1
+            p, q = int(num), int(den)
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
+    f = parse_rational(value)
+    return f.numerator, f.denominator
+
+
 def format_rational(value: Fraction) -> str:
     return str(value)
 
@@ -79,7 +98,8 @@ def parse_instance(doc) -> tuple:
 
     The document holds agents (each {"id": ..., "weight": ...}, weights all
     present or all absent), items (unique string ids) and a utilities
-    matrix indexed [agent][item].
+    matrix indexed [agent][item], read straight into the instance's
+    integer rows.
     """
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
@@ -116,9 +136,9 @@ def parse_instance(doc) -> tuple:
     for row in utilities:
         if not isinstance(row, list) or len(row) != len(item_ids):
             raise ValueError("every utility row must hold one entry per item")
-        rows.append(tuple(parse_rational(v) for v in row))
+        rows.append(integer_row([_ratio(v) for v in row]))
 
-    instance = Instance(tuple(rows), tuple(weights) if all(weighted) else None)
+    instance = Instance.from_integer_rows(rows, tuple(weights) if all(weighted) else None)
     return instance, tuple(agent_ids), tuple(item_ids)
 
 

@@ -378,6 +378,17 @@ def test_verify_dominates_requires_against(capsys):
     assert "--against" in json.loads(err)["error"]
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    code, _, _ = run_cli(capsys, "verify", fixture("goods_blocks"), fixture("goods_blocks_y"),
+                         "--property", "dominates", "--against", fixture("goods_blocks_x"))
+    assert code == 0
+    code, out, err = run_cli(capsys, "verify", fixture("goods_blocks"),
+                             fixture("goods_blocks_y"), "--property", "dominates")
+    assert code == 2 and out is None
+    assert "needs --against" in json.loads(err)["error"]
+
+
 def test_verify_po_on_identical_items(capsys):
     code, out, _ = run_cli(capsys, "verify", fixture("identical_items"),
                            fixture("identical_items_balanced"), "--property",

@@ -12,6 +12,7 @@ from fairdiv.core import (
     as_fraction,
     consumption_graph,
     find_cycle,
+    integer_row,
     proportional_share,
     utilities,
     utility,
@@ -52,6 +53,9 @@ def test_instance_allows_zero_items():
 def test_integer_rows_scale_each_row_by_the_lcm_of_its_denominators():
     inst = Instance([[Fraction(1, 2), Fraction(-1, 3), 0, 5], [1, 2, 3, 4]])
     assert inst.integer_rows == ((6, (3, -2, 0, 30)), (1, (1, 2, 3, 4)))
+    assert integer_row([(1, 2), (-1, 3), (0, 1), (5, 1)]) == (6, (3, -2, 0, 30))
+    assert integer_row([(4, 1), (-7, 1)]) == (1, (4, -7))
+    assert integer_row([]) == (1, ())
     assert inst.total_value(0) == Fraction(31, 6)
     assert Instance([[], []]).integer_rows == ((1, ()), (1, ()))
     rng = random.Random(5)
@@ -62,6 +66,37 @@ def test_integer_rows_scale_each_row_by_the_lcm_of_its_denominators():
         for row, (d, scaled) in zip(inst.utilities, inst.integer_rows):
             assert [Fraction(v, d) for v in scaled] == list(row)
             assert all(d % v.denominator == 0 for v in row)
+
+
+def test_both_constructors_give_one_instance():
+    rng = random.Random(7)
+    for _ in range(30):
+        n, m = rng.randint(1, 4), rng.randint(0, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(m)]
+                for _ in range(n)]
+        weights = rng.choice([None, [rng.randint(1, 5) for _ in range(n)]])
+        inst = Instance(rows, weights)
+        again = Instance.from_integer_rows(inst.integer_rows, weights)
+        assert again == inst and hash(again) == hash(inst)
+        assert again.weights == inst.weights
+        assert again.utilities == inst.utilities
+        assert all(type(v) is Fraction for row in again.utilities for v in row)
+    assert Instance([[2, 4]]) != Instance([[1, 2]])
+    assert Instance([[1, 2]], [1]) == Instance([[Fraction(2, 2), 2]])
+
+
+def test_from_integer_rows_rejects_rows_that_are_not_canonical():
+    assert Instance.from_integer_rows([(6, (3, -2, 0, 30))]).utilities == (
+        (Fraction(1, 2), Fraction(-1, 3), 0, 5),)
+    for rows in ([(2, (2, 4))], [(0, (1,))], [(-1, (1,))], [(3, ())]):
+        with pytest.raises(ValueError, match="integer row"):
+            Instance.from_integer_rows(rows)
+    with pytest.raises(ValueError, match="same length"):
+        Instance.from_integer_rows([(1, (1, 2)), (1, (1,))])
+    with pytest.raises(ValueError, match="at least one agent"):
+        Instance.from_integer_rows([])
+    with pytest.raises(ValueError, match="strictly positive"):
+        Instance.from_integer_rows([(1, (1,))], [0])
 
 
 def test_as_fraction_keeps_fractions_and_converts_ints():
