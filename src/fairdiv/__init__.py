@@ -30,7 +30,6 @@ from fairdiv.rounding import (
     ExplorationStrategy,
     PipelineResult,
     allocate,
-    resolve_zero_items,
     round_acyclic,
 )
 from fairdiv.verify import (
@@ -72,7 +71,6 @@ __all__ = [
     "proportional_seed",
     "proportional_share",
     "propx",
-    "resolve_zero_items",
     "round_acyclic",
     "utilities",
     "utility",

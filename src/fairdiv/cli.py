@@ -136,29 +136,33 @@ def _cmd_verify(args) -> int:
     names = [p.strip() for p in args.property.split(",") if p.strip()]
     if not names:
         raise ValueError("no properties requested")
-    results = {}
+    # Every input error, the po cap included, is raised before any property runs.
+    checks = {}
     for name in names:
-        if name not in results:
-            results[name] = _check_property(name, args, instance, allocation,
-                                            agent_ids, item_ids)
+        if name not in checks:
+            checks[name] = _property_check(name, args, instance, allocation,
+                                           agent_ids, item_ids)
+    results = {name: check() for name, check in checks.items()}
     all_hold = all(r["holds"] for r in results.values())
     _emit({"properties": results, "allHold": all_hold})
     return EXIT_OK if all_hold else EXIT_VIOLATED
 
 
-def _check_property(name, args, instance, allocation, agent_ids, item_ids) -> dict:
+def _property_check(name, args, instance, allocation, agent_ids, item_ids):
+    """Validate one requested property and return a call that checks it."""
     if name in SEARCHABLE:
-        return report_doc(SEARCHABLE[name](instance, allocation), agent_ids, item_ids)
+        return lambda: report_doc(SEARCHABLE[name](instance, allocation), agent_ids, item_ids)
     if name == "po":
-        holds = verify.is_pareto_optimal_integral(instance, allocation, cap=args.cap)
-        return {"holds": holds}
+        verify.check_cap(instance, args.cap)
+        return lambda: {"holds": verify.is_pareto_optimal_integral(instance, allocation,
+                                                                   cap=args.cap)}
     if name == "fpo":
-        return {"holds": not verify.pareto_improvement_exists(instance, allocation)}
+        return lambda: {"holds": not verify.pareto_improvement_exists(instance, allocation)}
     if name == "dominates":
         if not args.against:
             raise ValueError("the dominates check needs --against ALLOCATION_FILE")
         other = parse_allocation(_load(args.against), agent_ids, item_ids)
-        return {"holds": verify.pareto_dominates(instance, allocation, other)}
+        return lambda: {"holds": verify.pareto_dominates(instance, allocation, other)}
     raise ValueError(f"unknown property {name!r}")
 
 

@@ -10,18 +10,16 @@ certifies it: its optimal duals on the agent rows are positive welfare
 weights under which every consumer of every item is a maximizer, so the
 pipeline needs no second LP to prove fPO.
 
-The simplex solver returns extreme points, whose consumption graphs are
-acyclic in all but degenerate cases. When a cycle does survive, some edge of
-it can be forbidden without lowering the optimal welfare (a cyclic trade
-argument), and forbidding edges one at a time terminates because the
-forbidden set only grows. Optimal values are compared exactly, which is why
-everything runs on rationals.
+One exact simplex solve does the whole stage. Its optimal vertex already
+has a forest as consumption graph, with one strict utility sign on every
+shared item (see ``improve_to_acyclic_fpo``), and both facts are checked
+as a postcondition on the solve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from fairdiv.core import (
     FractionalAllocation,
@@ -41,11 +39,10 @@ def proportional_seed(instance: Instance) -> FractionalAllocation:
     return FractionalAllocation(rows)
 
 
-def dominance_welfare_lp(instance: Instance, baseline: FractionalAllocation,
-                         forbidden: Iterable = ()) -> LpProblem:
+def dominance_welfare_lp(instance: Instance, baseline: FractionalAllocation) -> LpProblem:
     """LP over allocations: max total welfare s.t. nobody falls below their
-    baseline utility, items fully allocated, forbidden (agent, item) pairs
-    pinned to zero. Variables are x[i][o] flattened to index i*m + o."""
+    baseline utility and items are fully allocated. Variables are x[i][o]
+    flattened to index i*m + o."""
     n, m = instance.num_agents, instance.num_items
     num_vars = n * m
     zero = Fraction(0)
@@ -67,10 +64,6 @@ def dominance_welfare_lp(instance: Instance, baseline: FractionalAllocation,
         for i in range(n):
             coeffs[i * m + o] = Fraction(1)
         constraints.append((tuple(coeffs), "=", Fraction(1)))
-    for i, o in sorted(set(forbidden)):
-        coeffs = [zero] * num_vars
-        coeffs[i * m + o] = Fraction(1)
-        constraints.append((tuple(coeffs), "=", zero))
     return LpProblem(num_vars, tuple(objective), tuple(constraints))
 
 
@@ -80,58 +73,44 @@ def improve_to_acyclic_fpo(instance: Instance,
     fractionally Pareto optimal, and whose consumption graph is a forest.
 
     Returns ``(allocation, weights)``. Defaults to the proportional seed, in
-    which case the allocation is also weighted-proportional. Deterministic:
-    the simplex is deterministic and cycle edges are tested in walk order
-    from the lowest-index agent.
+    which case the allocation is also weighted-proportional. Deterministic,
+    because the simplex is.
 
-    ``weights`` are welfare weights certifying fPO, read off the first LP's
-    duals. With shadow price pi_i <= 0 on agent i's ">=" row and p_o on item
-    o's "=" row, dual feasibility says the reduced cost of x[i][o] is
+    ``weights`` are welfare weights certifying fPO, read off the LP's duals.
+    With shadow price pi_i <= 0 on agent i's ">=" row and p_o on item o's
+    "=" row, dual feasibility says the reduced cost of x[i][o] is
     ``(1 - pi_i) * u_i(o) - p_o <= 0``, with equality wherever x[i][o] > 0
     (complementary slackness). So with ``lambda_i = 1 - pi_i >= 1``, every
     consumer of o attains max_j lambda_j * u_j(o) = p_o.
 
-    They also certify the allocation a cycle retry returns. Such a solution
-    has the first LP's optimal value (asserted) and satisfies all of the
-    first LP's constraints (the retry only adds rows), so it is optimal for
-    the first LP too. Complementary slackness holds between any optimal
-    primal and any optimal dual, so it holds between the retry solution and
-    the first solve's duals.
+    The solve returns a basic optimal solution, whose positive columns
+    ``x_io = u_i(o) * e_i + e_o`` are linearly independent. That makes the
+    consumption graph a forest with one strict sign on every shared item:
+
+    - On a cycle a_1, o_1, a_2, ..., a_k, o_k, a_1 of the support, where
+      o_j is consumed by a_j and a_{j+1}, every u_a(o) is p_o / lambda_a.
+      If every p_{o_j} != 0, the sum over j of
+      ``(x_{a_j o_j} - x_{a_{j+1} o_j}) / p_{o_j}`` is the telescoping sum
+      of ``e_{a_j} / lambda_{a_j} - e_{a_{j+1}} / lambda_{a_{j+1}}``, which
+      is zero, so the cycle's columns are dependent.
+    - If p_o = 0, both consumers of o value it at zero. Their columns are
+      both e_o, so they are dependent too.
+    - On a shared item, lambda_a * u_a(o) = p_o for every sharer and
+      lambda > 0, so all sharers value o with the sign of p_o, and p_o != 0
+      by the previous point.
+
+    Both facts are checked on the returned vertex; a failure raises
+    InvariantViolation, since it could only come from a solver bug.
     """
     if seed is None:
         seed = proportional_seed(instance)
-    forbidden = set()
-    solution = _solve_or_die(instance, seed, forbidden)
-    target = solution.value
-    weights = tuple(1 - pi for pi in solution.duals[:instance.num_agents])
-
-    while True:
-        x = _as_allocation(instance, solution)
-        cycle = find_cycle(consumption_graph(x))
-        if cycle is None:
-            break
-        for edge in cycle.edges():
-            candidate_forbidden = forbidden | {edge}
-            candidate = solve(dominance_welfare_lp(instance, seed, candidate_forbidden))
-            if candidate.status == OPTIMAL and candidate.value == target:
-                forbidden = candidate_forbidden
-                solution = candidate
-                break
-        else:
-            raise InvariantViolation("cycle with no welfare-preserving edge removal")
-
-    if solution.value != target:
-        raise InvariantViolation("edge removals changed the optimal welfare")
-    _check_shared_items_same_sign(instance, x)
-    return x, weights
-
-
-def _solve_or_die(instance, seed, forbidden) -> LpSolution:
-    solution = solve(dominance_welfare_lp(instance, seed, forbidden))
+    solution = solve(dominance_welfare_lp(instance, seed))
     if solution.status != OPTIMAL:
         # the baseline itself is feasible and the polytope is bounded
         raise InvariantViolation(f"improvement LP reported {solution.status}")
-    return solution
+    x = _as_allocation(instance, solution)
+    _check_shared_items_same_sign(instance, x)
+    return x, tuple(1 - pi for pi in solution.duals[:instance.num_agents])
 
 
 def _as_allocation(instance: Instance, solution: LpSolution) -> FractionalAllocation:
@@ -141,13 +120,15 @@ def _as_allocation(instance: Instance, solution: LpSolution) -> FractionalAlloca
 
 
 def _check_shared_items_same_sign(instance: Instance, x: FractionalAllocation) -> None:
-    """At a welfare optimum, agents sharing an item value it with one sign;
-    anything else means the solver or the model is broken."""
+    """The vertex postcondition proved in ``improve_to_acyclic_fpo``: no
+    cycle of shared items, and one strict utility sign per shared item."""
     graph = consumption_graph(x)
+    if find_cycle(graph) is not None:
+        raise InvariantViolation("the improvement LP vertex shares items along a cycle")
     for o in graph.shared_items():
         signs = {_sign(instance.value(i, o)) for i in graph.item_agents[o]}
-        if len(signs) > 1:
-            raise InvariantViolation(f"item {o} is shared across utility signs")
+        if len(signs) > 1 or 0 in signs:
+            raise InvariantViolation(f"item {o} is shared without one strict utility sign")
 
 
 def _sign(v: Fraction) -> int:

@@ -1,8 +1,11 @@
 """Rounding stage: from an acyclic fractional allocation to an integral one.
 
-The consumption graph of the improved allocation is a forest. Walking each
-tree from a root agent, the active agent keeps every good it shares and
-passes every chore it shares to the lowest-index co-consumer. Because every
+The improved allocation is the improvement LP's optimal vertex, whose
+consumption graph is a forest with one strict utility sign on every shared
+item (``improve_to_acyclic_fpo`` proves both and checks them), so it is
+rounded as it is. Walking each tree from a root agent, the active agent
+keeps every good it shares and passes every chore it shares to the
+lowest-index co-consumer. Because every
 agent has at most one predecessor in the walk, at most one shared item is
 ever decided against it before its own turn: it loses at most one partially
 consumed good, or receives at most one extra chore, never both. That is
@@ -10,8 +13,8 @@ exactly proportionality up to one item, and since rounding only shrinks the
 set of consumers per item, the welfare-weight certificate of the fractional
 allocation keeps certifying fractional Pareto optimality.
 
-``allocate`` checks its own output without solving another LP: the
-improvement LP's duals are the welfare weights, and replaying them on the
+``allocate`` solves that one LP and checks its own output without another:
+the improvement LP's duals are the welfare weights, and replaying them on the
 fractional intermediate and on the integral output costs O(nm).
 
 Which agent roots each tree and in which order the walk visits agents does
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from fairdiv.core import (
     FractionalAllocation,
@@ -31,7 +33,6 @@ from fairdiv.core import (
     InvariantViolation,
     consumption_graph,
     find_cycle,
-    utilities,
 )
 from fairdiv.improve import improve_to_acyclic_fpo
 # find_welfare_weights and pareto_improvement_exists, the LP-based fPO
@@ -94,35 +95,10 @@ class PipelineResult:
     report: CertificateReport
 
 
-def resolve_zero_items(instance: Instance, allocation: FractionalAllocation) -> FractionalAllocation:
-    """Hand every shared item that some sharer values at zero to its
-    lowest-index sharer.
-
-    At a welfare optimum a zero-valuing consumer forces the item to be
-    worthless to all its consumers, so the reallocation changes nobody's
-    utility; both facts are asserted. Afterwards every shared item has the
-    same strict sign for all its sharers.
-    """
-    graph = consumption_graph(allocation)
-    moves = {}
-    for o in graph.shared_items():
-        sharers = graph.item_agents[o]
-        if any(instance.value(i, o) == 0 for i in sharers):
-            if any(instance.value(i, o) != 0 for i in sharers):
-                raise InvariantViolation(
-                    f"item {o} is shared between zero and nonzero valuations")
-            moves[o] = sharers[0]
-    if not moves:
-        return allocation
-    zero, one = Fraction(0), Fraction(1)
-    rows = [list(row) for row in allocation.fractions]
-    for o, keeper in moves.items():
-        for i in range(allocation.num_agents):
-            rows[i][o] = one if i == keeper else zero
-    resolved = FractionalAllocation(tuple(tuple(r) for r in rows))
-    if utilities(instance, resolved) != utilities(instance, allocation):
-        raise InvariantViolation("zero-item resolution changed a utility")
-    return resolved
+# Only bench/spans.py reads this name: its traced run wraps it. Nothing is
+# left to resolve, since the improvement LP's vertex never shares an item
+# that a sharer values at zero.
+resolve_zero_items = None
 
 
 def round_acyclic(instance: Instance, allocation: FractionalAllocation,
@@ -130,10 +106,11 @@ def round_acyclic(instance: Instance, allocation: FractionalAllocation,
     """Round an acyclic same-sign fractional allocation to an integral one.
 
     Precondition (checked): the consumption graph is a forest and every
-    shared item has one strict utility sign across its sharers, i.e. zero
-    sharing was resolved first. The walk keeps shared goods with the active
-    agent and pushes shared chores to the lowest-index co-consumer; the
-    at-most-one-predecessor property is instrumented and enforced.
+    shared item has one strict utility sign across its sharers, as on the
+    vertex ``improve_to_acyclic_fpo`` returns. The walk keeps shared goods
+    with the active agent and pushes shared chores to the lowest-index
+    co-consumer; the at-most-one-predecessor property is instrumented and
+    enforced.
     """
     n, m = allocation.num_agents, allocation.num_items
     if instance.num_agents != n or instance.num_items != m:
@@ -158,8 +135,7 @@ def round_acyclic(instance: Instance, allocation: FractionalAllocation,
             signs = {(rows[i][o].numerator > 0) - (rows[i][o].numerator < 0)
                      for i in agents}
             if len(signs) != 1 or 0 in signs:
-                raise ValueError(
-                    f"shared item {o} lacks a single strict sign; resolve zeros first")
+                raise ValueError(f"shared item {o} lacks a single strict sign")
         consumers.append(set(agents))
     shared_by = [set() for _ in range(n)]
     for o in range(m):
@@ -226,27 +202,26 @@ def _pick_root(shared_by, strategy: ExplorationStrategy) -> int:
 
 def allocate(instance: Instance,
              strategy: ExplorationStrategy = DEFAULT_STRATEGY) -> PipelineResult:
-    """Full pipeline: proportional seed, welfare improvement, zero-item
-    resolution, rounding. Returns the integral allocation, the fractional
-    intermediate it was rounded from, and certificates for both guarantees.
+    """Full pipeline: proportional seed, welfare improvement, rounding.
+    Returns the integral allocation, the fractional intermediate it was
+    rounded from, and certificates for both guarantees.
 
     The result is weighted-PROP1 and fractionally Pareto optimal; both are
     re-checked and a failure of either raises InvariantViolation, since it
     could only come from a bug in this package. fPO is checked by replaying
-    the improvement LP's welfare weights on both allocations: zero-item
-    resolution and rounding only shrink each item's consumer set, so weights
-    that certify the improved allocation certify both.
+    the improvement LP's welfare weights on both allocations: rounding only
+    shrinks each item's consumer set, so weights that certify the improved
+    allocation certify the integral one too.
     """
     improved, weights = improve_to_acyclic_fpo(instance)
     if not all(w > 0 for w in weights):
         raise InvariantViolation("improvement LP duals give a nonpositive welfare weight")
-    fractional = resolve_zero_items(instance, improved)
-    recheck_welfare_weights(instance, consumption_graph(fractional), weights)
-    integral = round_acyclic(instance, fractional, strategy)
+    recheck_welfare_weights(instance, consumption_graph(improved), weights)
+    integral = round_acyclic(instance, improved, strategy)
     recheck_welfare_weights(instance, consumption_graph(integral), weights)
 
     prop1 = weighted_prop1(instance, integral)
     if not prop1.holds:
         raise InvariantViolation("pipeline output violates weighted PROP1")
     report = CertificateReport(prop1=prop1, fpo_certified=True, welfare_weights=weights)
-    return PipelineResult(integral=integral, fractional=fractional, report=report)
+    return PipelineResult(integral=integral, fractional=improved, report=report)

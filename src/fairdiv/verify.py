@@ -185,7 +185,7 @@ def enumerate_integral_allocations(instance: Instance,
     """Yield all n**m owner assignments in lexicographic order; refuses to
     start when their number exceeds the cap."""
     n, m = instance.num_agents, instance.num_items
-    _check_cap(instance, cap)
+    check_cap(instance, cap)
     owners = [0] * m
     while True:
         yield IntegralAllocation(n, tuple(owners))
@@ -209,7 +209,7 @@ def is_pareto_optimal_integral(instance: Instance, allocation: IntegralAllocatio
     remains exhaustive. Raises EnumerationCapExceeded when n**m > cap.
     """
     _require_integral(allocation)
-    _check_cap(instance, cap)
+    check_cap(instance, cap)
     n, m = instance.num_agents, instance.num_items
     scaled = [row for _, row in instance.integer_rows]
     target = [0] * n
@@ -332,7 +332,8 @@ def _require_integral(allocation) -> None:
         raise ValueError("this check is defined for integral allocations")
 
 
-def _check_cap(instance: Instance, cap: int) -> None:
+def check_cap(instance: Instance, cap: int) -> None:
+    """Raise EnumerationCapExceeded when n**m exceeds the cap."""
     size = enumeration_size(instance)
     if size > cap:
         raise EnumerationCapExceeded(

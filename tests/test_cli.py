@@ -405,6 +405,20 @@ def test_verify_po_cap_exceeded(capsys):
     assert err
 
 
+def test_verify_po_cap_is_checked_before_any_property_runs(capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a property ran although the po cap is exceeded")
+
+    for name in cli.SEARCHABLE:
+        monkeypatch.setitem(cli.SEARCHABLE, name, must_not_run)
+    monkeypatch.setattr(cli.verify, "pareto_improvement_exists", must_not_run)
+    code, out, err = run_cli(capsys, "verify", fixture("goods_blocks"), fixture("goods_blocks_x"),
+                             "--property", "prop,prop1,propx,fpo,po")
+    assert code == 2
+    assert out is None
+    assert json.loads(err) == {"error": "3**31 = 617673396283947 allocations exceed cap 10000000"}
+
+
 def test_verify_po_on_thousands_of_items(capsys, tmp_path):
     m = 3000
     inst = tmp_path / "inst.json"

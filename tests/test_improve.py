@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from fairdiv import improve
 from fairdiv.core import (
-    FractionalAllocation,
     Instance,
+    InvariantViolation,
     consumption_graph,
     find_cycle,
     proportional_share,
@@ -17,7 +18,7 @@ from fairdiv.improve import (
     improve_to_acyclic_fpo,
     proportional_seed,
 )
-from fairdiv.lp import LpProblem, solve
+from fairdiv.lp import OPTIMAL, LpProblem, LpSolution, solve
 from helpers import (
     chores_blocks_instance,
     goods_blocks_instance,
@@ -48,14 +49,22 @@ def test_welfare_lp_single_item_two_agents():
     assert sol.assignment == (1, 0)
 
 
-def test_welfare_lp_forbidden_pair_is_pinned():
-    inst = Instance([[1], [-1]])
-    seed = FractionalAllocation(((0,), (1,)))  # weak baseline: agent 1 holds it
-    problem = dominance_welfare_lp(inst, seed, forbidden={(0, 0)})
-    assert problem.constraints[-1] == ((F(1), F(0)), "=", F(0))
-    sol = solve(problem)
-    assert sol.assignment == (0, 1)
-    assert sol.value == -1
+@pytest.mark.parametrize("rows, assignment, message", [
+    # both agents share both items: a cycle, all values positive
+    (((1, 1), (1, 1)), (F(1, 2), F(1, 2), F(1, 2), F(1, 2)), "cycle"),
+    # a forest, but item 0 is shared by two agents that value it at zero
+    (((0, 1, 0), (0, 0, 1)), (F(1, 2), 1, 0, F(1, 2), 0, 1), "sign"),
+], ids=["cycle", "zero-shared"])
+def test_improve_rejects_an_optimum_that_is_not_a_signed_forest(monkeypatch, rows, assignment,
+                                                                message):
+    # Each assignment is optimal but not a vertex, so the simplex never
+    # returns it; the postcondition must reject it if it ever did.
+    inst = Instance(rows)
+    duals = (F(0), F(0)) + (None,) * len(rows[0])
+    crafted = LpSolution(OPTIMAL, F(2), assignment, frozenset(), duals)
+    monkeypatch.setattr(improve, "solve", lambda problem: crafted)
+    with pytest.raises(InvariantViolation, match=message):
+        improve_to_acyclic_fpo(inst)
 
 
 def _aggregated_blocks_lp(instance, blocks):

@@ -9,15 +9,17 @@ from fairdiv.core import (
     Instance,
     IntegralAllocation,
     InvariantViolation,
-    utilities,
+    consumption_graph,
+    find_cycle,
 )
-from fairdiv import rounding
+from fairdiv import improve, rounding
+from fairdiv.improve import improve_to_acyclic_fpo
+from fairdiv.lp import OPTIMAL, LpSolution
 from fairdiv.lp import solve as lp_solve
 from fairdiv.rounding import (
     DEFAULT_STRATEGY,
     ExplorationStrategy,
     allocate,
-    resolve_zero_items,
     round_acyclic,
 )
 from fairdiv.verify import is_pareto_optimal_integral, weighted_prop, weighted_prop1
@@ -70,42 +72,51 @@ def test_round_rejects_preferred_root_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# zero-item resolution
+# zero-valued items: the improvement LP's vertex never shares one with a
+# sharer that values it at zero, and both stages reject a vertex that does
 
 
-def test_zero_shared_item_goes_to_lowest_sharer():
+def _lp_returns(monkeypatch, x):
+    """Make the improvement LP report the allocation x as its optimum."""
+    assignment = tuple(v for row in x.fractions for v in row)
+    duals = (F(0),) * x.num_agents + (None,) * x.num_items
+    crafted = LpSolution(OPTIMAL, F(0), assignment, frozenset(), duals)
+    monkeypatch.setattr(improve, "solve", lambda problem: crafted)
+
+
+def test_zero_valued_item_goes_to_an_agent_that_values_it(monkeypatch):
     inst = Instance(((0, 4), (0, 1), (5, 1)))
-    x = FractionalAllocation((
-        (F(1, 2), 1),
-        (F(1, 2), 0),
-        (0, 0),
-    ))
-    before = utilities(inst, x)
-    resolved = resolve_zero_items(inst, x)
-    assert resolved.fractions[0][0] == 1
-    assert resolved.fractions[1][0] == 0
-    assert utilities(inst, resolved) == before
+    result = allocate(inst)
+    assert result.fractional.fractions[2][0] == 1
+    assert result.integral.owners[0] == 2
+    # item 0 split between the two agents that value it at zero
+    x = FractionalAllocation(((F(1, 2), 1), (F(1, 2), 0), (0, 0)))
+    with pytest.raises(ValueError, match="sign"):
+        round_acyclic(inst, x)
+    _lp_returns(monkeypatch, x)
+    with pytest.raises(InvariantViolation, match="sign"):
+        improve_to_acyclic_fpo(inst)
 
 
-def test_zero_resolution_requires_unanimous_zero():
+def test_zero_resolution_requires_unanimous_zero(monkeypatch):
+    # item 0 split between an agent that values it at zero and one that
+    # values it at 3: no strict sign, so neither stage accepts it
     inst = Instance(((0, 4), (3, 1)))
-    x = FractionalAllocation((
-        (F(1, 2), 1),
-        (F(1, 2), 0),
-    ))
-    with pytest.raises(InvariantViolation):
-        resolve_zero_items(inst, x)
+    x = FractionalAllocation(((F(1, 2), 1), (F(1, 2), 0)))
+    with pytest.raises(ValueError, match="sign"):
+        round_acyclic(inst, x)
+    _lp_returns(monkeypatch, x)
+    with pytest.raises(InvariantViolation, match="sign"):
+        improve_to_acyclic_fpo(inst)
 
 
-def test_zero_resolution_leaves_clean_allocations_alone():
-    inst, allocation, _, _ = forest_fixture()
-    assert resolve_zero_items(inst, allocation) is allocation
-
-
-def test_unshared_zero_valued_item_is_untouched():
+def test_unshared_zero_valued_item_is_untouched(monkeypatch):
     inst = Instance(((0, 2), (1, 1)))
     x = IntegralAllocation(2, (0, 1)).to_fractional()
-    assert resolve_zero_items(inst, x) is x
+    assert round_acyclic(inst, x) == IntegralAllocation(2, (0, 1))
+    _lp_returns(monkeypatch, x)
+    improved, _ = improve_to_acyclic_fpo(inst)
+    assert improved == x
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +226,26 @@ def test_pipeline_chores_blocks():
     assert weighted_prop(inst, result.fractional).holds
 
 
+def _degenerate_instances(rng):
+    """Instances whose welfare LP has many optima: identical rows, rows that
+    are positive multiples of one row, and rows that are mostly zeros."""
+    yield Instance(((0, 4), (0, 1), (5, 1)))
+    yield Instance(((0, 4), (3, 1)))
+    yield Instance(((0, 2), (1, 1)))
+    for trial in range(30):
+        n, m = rng.randint(2, 4), rng.randint(2, 6)
+        weights = [rng.randint(1, 5) for _ in range(n)] if trial % 2 else None
+        base = [rng.randint(-3, 3) for _ in range(m)]
+        if trial % 3 == 0:
+            rows = [base] * n
+        elif trial % 3 == 1:
+            rows = [[F(rng.randint(1, 4), rng.randint(1, 3)) * v for v in base]
+                    for _ in range(n)]
+        else:
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(m)] for _ in range(n)]
+        yield Instance(rows, weights)
+
+
 def test_pipeline_solves_one_lp(monkeypatch):
     calls = []
 
@@ -227,12 +258,20 @@ def test_pipeline_solves_one_lp(monkeypatch):
         if name.startswith("fairdiv") and getattr(module, "solve", None) is lp_solve:
             monkeypatch.setattr(module, "solve", counting)
     rng = random.Random(8)
-    for trial in range(10):
-        inst = rand_instance(rng, rng.randint(2, 4), rng.randint(2, 6),
-                             weight_mode="random" if trial % 2 else "equal")
+    instances = [rand_instance(rng, rng.randint(2, 4), rng.randint(2, 6),
+                               weight_mode="random" if trial % 2 else "equal")
+                 for trial in range(10)]
+    instances += _degenerate_instances(random.Random(19))
+    for inst in instances:
         calls.clear()
-        allocate(inst)
+        result = allocate(inst)
         assert len(calls) == 1
+        # the LP's vertex is rounded as it is: a forest, one strict sign per shared item
+        graph = consumption_graph(result.fractional)
+        assert find_cycle(graph) is None
+        for o in graph.shared_items():
+            assert len({inst.value(i, o) > 0 for i in graph.item_agents[o]}) == 1
+            assert all(inst.value(i, o) != 0 for i in graph.item_agents[o])
 
 
 @pytest.mark.parametrize("bad", [(F(1), F(100)), (F(0), F(1))])
