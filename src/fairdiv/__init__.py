@@ -25,9 +25,7 @@ from fairdiv.improve import (
     proportional_seed,
 )
 from fairdiv.rounding import (
-    DEFAULT_STRATEGY,
     CertificateReport,
-    ExplorationStrategy,
     PipelineResult,
     allocate,
     round_acyclic,
@@ -49,9 +47,7 @@ __all__ = [
     "CertificateReport",
     "ConsumptionGraph",
     "Cycle",
-    "DEFAULT_STRATEGY",
     "EnumerationCapExceeded",
-    "ExplorationStrategy",
     "FairDivisionError",
     "FractionalAllocation",
     "Instance",

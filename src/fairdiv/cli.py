@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from fairdiv import verify
 from fairdiv.core import EnumerationCapExceeded, InvariantViolation
-from fairdiv.rounding import ExplorationStrategy, allocate
+from fairdiv.rounding import allocate
 from fairdiv.serialize import (
     format_rational,
     parse_allocation,
@@ -42,8 +42,8 @@ SEARCHABLE = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except InvariantViolation as exc:
         _error(str(exc))
@@ -63,12 +63,19 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    # A usage error is an input error: exit 2 with one JSON line, not
+    # argparse's usage text. Subparsers are built from the same class.
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: a parser is a web of reference cycles that
     # only the cyclic collector would free, and parse_args keeps no state
     # in it between calls.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairdiv",
         description="Fair division of mixed goods and chores under entitlements.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,10 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser(
         "solve", help="allocate an instance; prints allocation and certificates")
     solve.add_argument("instance", help="instance JSON file")
-    solve.add_argument("--strategy-order", choices=["bfs", "dfs"], default="bfs",
-                       help="queue discipline of the rounding walk")
-    solve.add_argument("--root-rule", choices=["one-item", "lowest-index"],
-                       default="one-item", help="how each sharing tree is rooted")
     solve.set_defaults(func=_cmd_solve)
 
     ver = sub.add_parser("verify", help="check properties of an allocation")
@@ -115,8 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     instance, agent_ids, item_ids = parse_instance(_load(args.instance))
-    strategy = ExplorationStrategy(order=args.strategy_order, root_rule=args.root_rule)
-    result = allocate(instance, strategy)
+    result = allocate(instance)
     certificates = {
         "prop1": report_doc(result.report.prop1, agent_ids, item_ids)["witnesses"],
         "fpoCertified": result.report.fpo_certified,

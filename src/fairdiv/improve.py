@@ -19,7 +19,6 @@ as a postcondition on the solve.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from fairdiv.core import (
     FractionalAllocation,
@@ -67,14 +66,13 @@ def dominance_welfare_lp(instance: Instance, baseline: FractionalAllocation) -> 
     return LpProblem(num_vars, tuple(objective), tuple(constraints))
 
 
-def improve_to_acyclic_fpo(instance: Instance,
-                           seed: Optional[FractionalAllocation] = None) -> tuple:
-    """Compute a fractional allocation that Pareto-dominates the seed, is
-    fractionally Pareto optimal, and whose consumption graph is a forest.
+def improve_to_acyclic_fpo(instance: Instance) -> tuple:
+    """Compute a fractional allocation that Pareto-dominates the
+    proportional seed, is fractionally Pareto optimal, and whose
+    consumption graph is a forest.
 
-    Returns ``(allocation, weights)``. Defaults to the proportional seed, in
-    which case the allocation is also weighted-proportional. Deterministic,
-    because the simplex is.
+    Returns ``(allocation, weights)``. The allocation is weighted-proportional,
+    since it dominates the seed. Deterministic, because the simplex is.
 
     ``weights`` are welfare weights certifying fPO, read off the LP's duals.
     With shadow price pi_i <= 0 on agent i's ">=" row and p_o on item o's
@@ -102,9 +100,7 @@ def improve_to_acyclic_fpo(instance: Instance,
     Both facts are checked on the returned vertex; a failure raises
     InvariantViolation, since it could only come from a solver bug.
     """
-    if seed is None:
-        seed = proportional_seed(instance)
-    solution = solve(dominance_welfare_lp(instance, seed))
+    solution = solve(dominance_welfare_lp(instance, proportional_seed(instance)))
     if solution.status != OPTIMAL:
         # the baseline itself is feasible and the polytope is bounded
         raise InvariantViolation(f"improvement LP reported {solution.status}")

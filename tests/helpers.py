@@ -72,8 +72,8 @@ def forest_fixture():
     Tree one: 2 - a - 1 - {b, c - 5 - h}, plus d hanging off agent 2.
     Tree two: 3 - {e, f - 4, g}. Shared items are a (agents 1,2), c (1,5)
     and f (3,4), each split half-half; sharers agree in sign everywhere.
-    Returns (instance, allocation, default_owners, forced_roots_owners),
-    owners over item order a..h with 0-based agents.
+    Returns (instance, allocation, owners), owners over item order a..h
+    with 0-based agents.
     """
     signs = (
         (+1, +1, -1, +1, -1, +1, +1, +1),
@@ -93,9 +93,8 @@ def forest_fixture():
         (z, z, h, z, z, z, z, 1),
     )
     allocation = FractionalAllocation(rows)
-    default_owners = (1, 0, 4, 1, 2, 2, 2, 4)
-    forced_owners = (0, 0, 4, 1, 2, 3, 2, 4)
-    return instance, allocation, default_owners, forced_owners
+    owners = (1, 0, 4, 1, 2, 2, 2, 4)
+    return instance, allocation, owners
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +124,42 @@ def rand_fractional(rng: random.Random, n: int, m: int) -> FractionalAllocation:
         for i, p in zip(consumers, parts):
             rows[i][o] = Fraction(p, total)
     return FractionalAllocation(tuple(tuple(r) for r in rows))
+
+
+def rand_sharing_forest(rng: random.Random, n: int, m: int):
+    """Random (instance, allocation) whose sharing graph is a forest with one
+    strict sign per shared item, as rounding requires.
+
+    Each item is either owned outright by a random agent or split among 2-4
+    agents drawn from pairwise different trees, so the sharing graph stays
+    a forest, usually of several trees; some agents share nothing and some
+    consume nothing. Utilities are random in [-3, 3], except that every
+    sharer of an item values it with the item's strict sign.
+    """
+    tree = list(range(n))
+
+    def find(a):
+        while tree[a] != a:
+            a = tree[a]
+        return a
+
+    values = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+    rows = [[Fraction(0)] * m for _ in range(n)]
+    for o in range(m):
+        roots = {}
+        for a in rng.sample(range(n), n):
+            roots.setdefault(find(a), a)
+        k = min(rng.choice((1, 1, 2, 2, 3, 4)), len(roots))
+        sharers = rng.sample(sorted(roots.values()), k)
+        sign = rng.choice((1, -1))
+        parts = [rng.randint(1, 4) for _ in sharers]
+        for a, p in zip(sharers, parts):
+            rows[a][o] = Fraction(p, sum(parts))
+            if k > 1:
+                values[a][o] = sign * rng.randint(1, 3)
+                tree[find(a)] = find(sharers[0])
+    allocation = FractionalAllocation(tuple(tuple(r) for r in rows))
+    return Instance(values), allocation
 
 
 def rand_lp(rng: random.Random):
@@ -186,6 +221,44 @@ def union_find_is_forest(graph: ConsumptionGraph) -> bool:
                 return False
             parent[ri] = ro
     return True
+
+
+def oracle_round(instance: Instance, allocation: FractionalAllocation) -> tuple:
+    """Owners the rounding rule gives, computed from BFS distances.
+
+    Each tree of the sharing graph (agents and items consumed by two or
+    more agents) is rooted at its lowest-index agent that shares exactly
+    one item. A shared good goes to its consumer nearest the root, a
+    shared chore to the lowest-index consumer other than that one, and an
+    unshared item stays with its only consumer.
+    """
+    n, m = instance.num_agents, instance.num_items
+    consumers = [[i for i in range(n) if allocation.fractions[i][o] > 0] for o in range(m)]
+    shared = [o for o in range(m) if len(consumers[o]) > 1]
+    shares = [[o for o in shared if i in consumers[o]] for i in range(n)]
+    depth = {}
+    for root in range(n):
+        if len(shares[root]) != 1 or root in depth:
+            continue
+        depth[root] = 0
+        frontier = [root]
+        while frontier:
+            following = []
+            for a in frontier:
+                for o in shares[a]:
+                    for b in consumers[o]:
+                        if b not in depth:
+                            depth[b] = depth[a] + 1
+                            following.append(b)
+            frontier = following
+    owners = [c[0] for c in consumers]
+    for o in shared:
+        nearest = min(consumers[o], key=lambda a: depth[a])
+        if instance.value(nearest, o) > 0:
+            owners[o] = nearest
+        else:
+            owners[o] = min(a for a in consumers[o] if a != nearest)
+    return tuple(owners)
 
 
 # ---------------------------------------------------------------------------

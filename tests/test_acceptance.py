@@ -12,7 +12,7 @@ import pytest
 
 from fairdiv.core import FractionalAllocation, Instance, IntegralAllocation
 from fairdiv.lp import OPTIMAL, solve
-from fairdiv.rounding import ExplorationStrategy, allocate, round_acyclic
+from fairdiv.rounding import allocate, round_acyclic
 from fairdiv.verify import (
     ADD_ITEM,
     REMOVE_ITEM,
@@ -41,13 +41,6 @@ from helpers import (
 )
 
 F = Fraction
-
-ALL_STRATEGIES = [
-    ExplorationStrategy(order=order, root_rule=rule)
-    for order in ("bfs", "dfs")
-    for rule in ("one-item", "lowest-index")
-]
-
 
 @pytest.fixture(scope="module")
 def random_suite():
@@ -149,23 +142,9 @@ def test_identical_items_admit_no_propx_allocation():
 
 
 def test_sharing_forest_rounding_owners():
-    inst, allocation, default_owners, forced_owners = forest_fixture()
-    assert round_acyclic(inst, allocation).owners == default_owners
-    variant = ExplorationStrategy(preferred_roots={0, 3})
-    assert round_acyclic(inst, allocation, variant).owners == forced_owners
-    print("sharing forest: default and forced-root walks give the expected owners: pass")
-
-
-def test_every_strategy_preserves_guarantees(random_suite):
-    start = time.perf_counter()
-    for inst in random_suite:
-        for strategy in ALL_STRATEGIES:
-            result = allocate(inst, strategy)
-            assert result.report.prop1.holds
-            assert is_pareto_optimal_integral(inst, result.integral)
-            assert not pareto_improvement_exists(inst, result.integral)
-    elapsed = time.perf_counter() - start
-    print(f"4 strategies x 500 instances: all guarantees hold in {elapsed:.1f}s: pass")
+    inst, allocation, owners = forest_fixture()
+    assert round_acyclic(inst, allocation).owners == owners
+    print("sharing forest: the rounding walk gives the expected owners: pass")
 
 
 def _chain_sharing(n: int, m: int):

@@ -242,12 +242,19 @@ def test_solve_is_deterministic(capsys):
 
 
 def test_solve_strategy_flags(capsys):
-    for order in ("bfs", "dfs"):
-        for rule in ("one-item", "lowest-index"):
-            code, out, _ = run_cli(capsys, "solve", fixture("chores_blocks"),
-                                   "--strategy-order", order, "--root-rule", rule)
-            assert code == 0
-            assert all(w["satisfied"] for w in out["certificates"]["prop1"])
+    """The removed rounding flags are usage errors, like a missing
+    positional or a bad int: each exits 2 with one JSON line on stderr."""
+    for argv in (["solve", fixture("chores_blocks"), "--strategy-order", "bfs"],
+                 ["solve", fixture("chores_blocks"), "--root-rule", "one-item"],
+                 ["solve"],
+                 ["gen", "--agents", "x", "--items", "3"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert list(json.loads(lines[0])) == ["error"]
 
 
 def test_solve_empty_items(capsys, tmp_path):

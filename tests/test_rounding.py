@@ -16,60 +16,18 @@ from fairdiv import improve, rounding
 from fairdiv.improve import improve_to_acyclic_fpo
 from fairdiv.lp import OPTIMAL, LpSolution
 from fairdiv.lp import solve as lp_solve
-from fairdiv.rounding import (
-    DEFAULT_STRATEGY,
-    ExplorationStrategy,
-    allocate,
-    round_acyclic,
-)
+from fairdiv.rounding import allocate, round_acyclic
 from fairdiv.verify import is_pareto_optimal_integral, weighted_prop, weighted_prop1
 from helpers import (
     chores_blocks_instance,
     forest_fixture,
     goods_blocks_instance,
+    oracle_round,
     rand_instance,
+    rand_sharing_forest,
 )
 
 F = Fraction
-
-ALL_STRATEGIES = [
-    ExplorationStrategy(order=order, root_rule=rule)
-    for order in ("bfs", "dfs")
-    for rule in ("one-item", "lowest-index")
-]
-
-
-# ---------------------------------------------------------------------------
-# exploration strategy validation
-
-
-def test_strategy_defaults():
-    assert DEFAULT_STRATEGY.order == "bfs"
-    assert DEFAULT_STRATEGY.root_rule == "one-item"
-    assert DEFAULT_STRATEGY.preferred_roots == frozenset()
-
-
-def test_strategy_rejects_unknown_order():
-    with pytest.raises(ValueError):
-        ExplorationStrategy(order="random")
-
-
-def test_strategy_rejects_unknown_root_rule():
-    with pytest.raises(ValueError):
-        ExplorationStrategy(root_rule="highest-degree")
-
-
-def test_strategy_normalizes_preferred_roots():
-    s = ExplorationStrategy(preferred_roots=[3, 1, 3])
-    assert s.preferred_roots == frozenset({1, 3})
-
-
-def test_round_rejects_preferred_root_out_of_range():
-    inst, allocation, _, _ = forest_fixture()
-    bad = ExplorationStrategy(preferred_roots={9})
-    with pytest.raises(ValueError):
-        round_acyclic(inst, allocation, bad)
-
 
 # ---------------------------------------------------------------------------
 # zero-valued items: the improvement LP's vertex never shares one with a
@@ -158,8 +116,7 @@ def test_round_of_integral_input_is_identity():
         inst = rand_instance(rng, rng.randint(2, 4), rng.randint(1, 6))
         owners = tuple(rng.randrange(inst.num_agents) for _ in inst.items)
         x = IntegralAllocation(inst.num_agents, owners)
-        for strategy in ALL_STRATEGIES:
-            assert round_acyclic(inst, x.to_fractional(), strategy).owners == owners
+        assert round_acyclic(inst, x.to_fractional()).owners == owners
 
 
 # ---------------------------------------------------------------------------
@@ -167,40 +124,64 @@ def test_round_of_integral_input_is_identity():
 
 
 def test_forest_default_walk_owners():
-    inst, allocation, default_owners, _ = forest_fixture()
+    inst, allocation, owners = forest_fixture()
     rounded = round_acyclic(inst, allocation)
-    assert rounded.owners == default_owners
+    assert rounded.owners == owners
 
 
-def test_forest_forced_roots_owners():
-    inst, allocation, _, forced_owners = forest_fixture()
-    strategy = ExplorationStrategy(preferred_roots={0, 3})
-    rounded = round_acyclic(inst, allocation, strategy)
-    assert rounded.owners == forced_owners
-
-
-def test_forest_every_strategy_gives_items_to_their_consumers():
-    inst, allocation, _, _ = forest_fixture()
-    for strategy in ALL_STRATEGIES:
-        rounded = round_acyclic(inst, allocation, strategy)
-        for o in inst.items:
-            assert allocation.fractions[rounded.owners[o]][o] > 0
+def test_forest_gives_items_to_their_consumers():
+    inst, allocation, _ = forest_fixture()
+    rounded = round_acyclic(inst, allocation)
+    for o in inst.items:
+        assert allocation.fractions[rounded.owners[o]][o] > 0
 
 
 def test_forest_unshared_items_keep_their_owner():
-    inst, allocation, _, _ = forest_fixture()
-    for strategy in ALL_STRATEGIES:
-        rounded = round_acyclic(inst, allocation, strategy)
-        for o, column in ((1, 0), (3, 1), (4, 2), (6, 2), (7, 4)):
-            assert rounded.owners[o] == column
+    inst, allocation, _ = forest_fixture()
+    rounded = round_acyclic(inst, allocation)
+    for o, column in ((1, 0), (3, 1), (4, 2), (6, 2), (7, 4)):
+        assert rounded.owners[o] == column
+
+
+def _losses(inst, allocation, owners) -> list:
+    """Per agent, the shared items rounding decided against it: a good it
+    consumed and did not get, or a chore it consumed only in part and got."""
+    losses = [0] * inst.num_agents
+    for o in inst.items:
+        sharers = [i for i in inst.agents if allocation.fractions[i][o] > 0]
+        if len(sharers) < 2:
+            continue
+        for i in sharers:
+            if (owners[o] == i) != (inst.value(i, o) > 0):
+                losses[i] += 1
+    return losses
+
+
+def test_round_acyclic_matches_the_nearest_root_oracle():
+    rng = random.Random(6)
+    cases = [rand_sharing_forest(rng, rng.randint(1, 9), rng.randint(0, 12))
+             for _ in range(300)]
+    for trial in range(40):
+        inst = rand_instance(rng, rng.randint(2, 5), rng.randint(1, 7),
+                             weight_mode="random" if trial % 2 else "equal")
+        cases.append((inst, improve_to_acyclic_fpo(inst)[0]))
+    cases += [(inst, improve_to_acyclic_fpo(inst)[0])
+              for inst in _degenerate_instances(random.Random(23))]
+    shared = 0
+    for inst, allocation in cases:
+        owners = round_acyclic(inst, allocation).owners
+        assert owners == oracle_round(inst, allocation)
+        assert max(_losses(inst, allocation, owners), default=0) <= 1
+        shared += len(consumption_graph(allocation).shared_items())
+    assert shared >= 300  # the cases exercise the walk, not just the identity
 
 
 def test_forest_active_agent_keeps_goods_and_sheds_chores():
-    inst, allocation, default_owners, _ = forest_fixture()
+    inst, allocation, owners = forest_fixture()
     # the root of the first tree shares only the good at index 0 and keeps it
-    assert default_owners[0] == 1
+    assert owners[0] == 1
     # agent 0 shares the chore at index 2 and passes it to its co-consumer
-    assert default_owners[2] == 4
+    assert owners[2] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +275,19 @@ def test_pipeline_is_deterministic():
     assert first.report.welfare_weights == second.report.welfare_weights
 
 
-def test_pipeline_random_instances_all_strategies():
+def test_pipeline_random_instances_keep_guarantees():
     rng = random.Random(1009)
     for trial in range(25):
         n = rng.randint(2, 3)
         m = rng.randint(2, 5)
         mode = "equal" if trial % 2 else "random"
         inst = rand_instance(rng, n, m, weight_mode=mode)
-        for strategy in ALL_STRATEGIES:
-            result = allocate(inst, strategy)
-            assert result.report.prop1.holds
-            assert result.report.fpo_certified
-            assert is_pareto_optimal_integral(inst, result.integral)
-            for o in inst.items:
-                assert result.fractional.fractions[result.integral.owners[o]][o] > 0
+        result = allocate(inst)
+        assert result.report.prop1.holds
+        assert result.report.fpo_certified
+        assert is_pareto_optimal_integral(inst, result.integral)
+        for o in inst.items:
+            assert result.fractional.fractions[result.integral.owners[o]][o] > 0
 
 
 def test_pipeline_fractional_intermediate_is_proportional():
