@@ -214,7 +214,8 @@ def _load(path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
-        except ValueError as exc:  # malformed JSON or text, or a repeated key
+        # malformed JSON or text, a repeated key, or nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -21,7 +21,6 @@ from fairdiv.verify import AgentWitness, PropertyReport
 MAX_RATIONAL_CHARS = 1000
 MAX_DECIMAL_EXPONENT = 1000
 _INT_LIMIT = 10 ** MAX_RATIONAL_CHARS
-_INTEGER_OR_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # Fraction's string grammar as of Python 3.10. Later versions accept more
 # (underscores between digits from 3.11, spaces around "/" from 3.12), so
 # strings are held to this one first and read the same on every version.
@@ -75,18 +74,45 @@ def _ratio(value) -> tuple:
     if type(value) is int:
         if -_INT_LIMIT < value < _INT_LIMIT:
             return value, 1
-    elif type(value) is str and len(value) <= MAX_RATIONAL_CHARS:
-        plain = _INTEGER_OR_RATIO.fullmatch(value)
-        if plain:
-            num, den = plain.groups()
-            if den is None:
+    elif type(value) is str and len(value) <= MAX_RATIONAL_CHARS and value.isascii():
+        # isdigit() alone would also pass non-ASCII digits, superscripts included
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
                 return int(num), 1
-            p, q = int(num), int(den)
-            if q:
-                g = gcd(p, q)
-                return p // g, q // g
+            if den.isdigit():
+                p, q = int(num), int(den)
+                if q:
+                    g = gcd(p, q)
+                    return p // g, q // g
     f = parse_rational(value)
     return f.numerator, f.denominator
+
+
+def _row_ratios(row: list, memo: dict) -> list:
+    """``[_ratio(v) for v in row]``, reading each distinct string once per
+    document when the row repeats itself: at least two entries per distinct
+    value, as in valuation tables drawn from a small scale. ``memo`` maps
+    strings read so far to their pairs; only strings are keys, since
+    ``True``, ``1`` and ``1.0`` hash alike and bools and floats must still
+    be rejected. A row that does not repeat, or holds an unhashable entry,
+    is read entry by entry."""
+    try:
+        repeats = 2 * len(set(row)) <= len(row)
+    except TypeError:  # a list or object among the entries
+        repeats = False
+    if not repeats:
+        return [_ratio(v) for v in row]
+    out = []
+    for v in row:
+        if type(v) is str:
+            pair = memo.get(v)
+            if pair is None:
+                pair = memo[v] = _ratio(v)
+        else:
+            pair = _ratio(v)
+        out.append(pair)
+    return out
 
 
 def format_rational(value: Fraction) -> str:
@@ -133,10 +159,11 @@ def parse_instance(doc) -> tuple:
     if not isinstance(utilities, list) or len(utilities) != len(agent_ids):
         raise ValueError("utilities must hold one row per agent")
     rows = []
+    memo = {}  # rational string -> (p, q), for this document only
     for row in utilities:
         if not isinstance(row, list) or len(row) != len(item_ids):
             raise ValueError("every utility row must hold one entry per item")
-        rows.append(integer_row([_ratio(v) for v in row]))
+        rows.append(integer_row(_row_ratios(row, memo)))
 
     instance = Instance.from_integer_rows(rows, tuple(weights) if all(weighted) else None)
     return instance, tuple(agent_ids), tuple(item_ids)

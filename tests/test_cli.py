@@ -319,6 +319,21 @@ def test_duplicate_json_keys_are_an_input_error(capsys, tmp_path):
     assert "duplicate key 'p'" in json.loads(err)["error"]
 
 
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    # json's decoder recurses once per level and raises RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (["solve", str(deep)], ["verify", fixture("goods_blocks"), str(deep)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+        message = json.loads(lines[0])["error"]
+        assert message.startswith(f"{deep} is not valid JSON: ")
+        assert "internal error" not in message
+
+
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     def broken(*args):
         raise TypeError("unsupported operand")

@@ -1,15 +1,22 @@
 """parse_instance against parse_rational: it reads utilities straight into
 integer rows, and must give the instance, and the errors, that reading each
-value with parse_rational and building ``Instance`` from them gives."""
+value with parse_rational and building ``Instance`` from them gives. Rows
+that repeat their values read each distinct string once per document; the
+tests below hold that path to the same answers and errors."""
 
+import json
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairdiv import serialize
+from fairdiv.cli import main
 from fairdiv.core import Instance
-from fairdiv.serialize import MAX_RATIONAL_CHARS, parse_instance, parse_rational
+from fairdiv.serialize import MAX_RATIONAL_CHARS, _ratio, parse_instance, parse_rational
 
 _json_int = st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([0, 10 ** 40, -(10 ** 40)])
 _ratio_text = st.tuples(st.integers(-60, 60), st.integers(1, 60)).map(
@@ -22,19 +29,22 @@ _value = st.one_of(_json_int, _json_int.map(str), _ratio_text, _other_text)
 _weight = st.integers(1, 9) | st.integers(1, 9).map(str) | st.sampled_from(["2/3", "0.5", "4/6"])
 
 
+# a small pool, so that most rows repeat their values; equal values are
+# written several ways, and 1 as a JSON integer and as a string
+_pooled = st.sampled_from([1, "1", "1/1", "2/2", "-0", "007", " 4 ", "0.5", "1/2"])
+
+
 @st.composite
-def _documents(draw):
-    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+def _documents(draw, values=_value, max_items=6):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, max_items))
     weighted = draw(st.booleans())
     agents = [{"id": f"a{i}", **({"weight": draw(_weight)} if weighted else {})}
               for i in range(n)]
-    utilities = [[draw(_value) for _ in range(m)] for _ in range(n)]
+    utilities = [[draw(values) for _ in range(m)] for _ in range(n)]
     return {"agents": agents, "items": [f"o{j}" for j in range(m)], "utilities": utilities}
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_documents())
-def test_parse_instance_matches_instance_of_parse_rational(doc):
+def _check_against_parse_rational(doc):
     weights = ([parse_rational(a["weight"]) for a in doc["agents"]]
                if "weight" in doc["agents"][0] else None)
     expected = Instance([[parse_rational(v) for v in row] for row in doc["utilities"]],
@@ -44,6 +54,18 @@ def test_parse_instance_matches_instance_of_parse_rational(doc):
     assert got.utilities == expected.utilities
     assert got.weights == expected.weights
     assert got == expected and hash(got) == hash(expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_documents())
+def test_parse_instance_matches_instance_of_parse_rational(doc):
+    _check_against_parse_rational(doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_documents(values=_pooled, max_items=16))
+def test_repeating_rows_match_instance_of_parse_rational(doc):
+    _check_against_parse_rational(doc)
 
 
 @pytest.mark.parametrize("bad", [
@@ -78,3 +100,91 @@ def test_parse_instance_builds_no_fraction_per_entry(monkeypatch):
     monkeypatch.undo()
     assert instance.utilities[0][:3] == (-3, -3, Fraction(-1, 3))
     assert instance.utilities[1][:3] == (-4, Fraction(-2, 2), -2)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, [1], {}], ids=["true", "float", "list", "object"])
+@pytest.mark.parametrize("at", [0, 7, 15])
+def test_repeating_row_rejects_what_parse_rational_rejects(bad, at, tmp_path, capsys):
+    # bools and floats hash like 1, and lists and objects cannot be hashed:
+    # none may be mistaken for a string read before, in any position
+    row = [1, "1"] * 8
+    row[at] = bad
+    doc = {"agents": [{"id": "x"}, {"id": "y"}], "items": [f"o{j}" for j in range(16)],
+           "utilities": [[1, "1"] * 8, row]}
+    with pytest.raises(ValueError) as expected:
+        parse_rational(bad)
+    with pytest.raises(ValueError) as got:
+        parse_instance(doc)
+    assert str(got.value) == str(expected.value)
+
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err) == {"error": str(expected.value)}
+
+
+def test_repeating_row_reports_its_first_bad_entry():
+    row = [1, "1"] * 8
+    row[3], row[9] = True, "1_0"
+    doc = {"agents": [{"id": "x"}], "items": [f"o{j}" for j in range(16)], "utilities": [row]}
+    with pytest.raises(ValueError, match="expected a rational string, got True"):
+        parse_instance(doc)
+
+
+def test_each_distinct_string_is_read_once_per_document(monkeypatch):
+    pool = ["1", "-2", "3/4", "6/8", " 5 ", "0.5"]
+    m = 60
+    doc = {"agents": [{"id": f"a{i}"} for i in range(4)],
+           "items": [f"o{j}" for j in range(m)],
+           "utilities": [[pool[(i + j) % len(pool)] if j % 3 else j % 4 for j in range(m)]
+                         for i in range(4)]}
+    read = []
+    real_ratio = serialize._ratio
+
+    def counting_ratio(value):
+        if type(value) is str:
+            read.append(value)
+        return real_ratio(value)
+
+    monkeypatch.setattr(serialize, "_ratio", counting_ratio)
+    first, _, _ = parse_instance(doc)
+    assert sorted(read) == sorted(pool)
+    # a second call keeps nothing from the first: it reads them all again
+    second, _, _ = parse_instance(doc)
+    assert sorted(read) == sorted(pool * 2)
+    assert first == second
+
+
+_PLAIN = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.text(alphabet="0123456789-+/_ \u0663\u00b2", max_size=8))
+@example("--1")
+@example("1//2")
+@example("-")
+@example("/3")
+@example("")
+@example("+5")
+@example("\u0663")  # ARABIC-INDIC DIGIT THREE: Fraction reads it as 3
+@example("\u00b2")  # SUPERSCRIPT TWO: isdigit() but not a decimal digit
+@example("-0/7")
+@example("4/0")
+def test_plain_strings_are_read_without_parse_rational(text):
+    """_ratio reads exactly the ASCII strings -?[0-9]+(/[0-9]+)? with a
+    nonzero denominator itself, and gives parse_rational's value or error
+    on every string."""
+    with mock.patch.object(serialize, "parse_rational", wraps=parse_rational) as slow:
+        try:
+            got = _ratio(text)
+        except ValueError as exc:
+            got = ("error", str(exc))
+    try:
+        f = parse_rational(text)
+        expected = (f.numerator, f.denominator)
+    except ValueError as exc:
+        expected = ("error", str(exc))
+    assert got == expected
+    plain = _PLAIN.fullmatch(text)
+    assert slow.called == (not plain or plain[1] is not None and int(plain[1][1:]) == 0)
