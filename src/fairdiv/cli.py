@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import random
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -225,7 +226,7 @@ def _unique_keys(pairs) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ValueError(f"duplicate key {key!r} in one object")
+                raise ValueError(f"duplicate key {reprlib.repr(key)} in one object")
             seen.add(key)
     return doc
 

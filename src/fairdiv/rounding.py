@@ -39,8 +39,7 @@ from fairdiv.core import (
     find_cycle,
 )
 from fairdiv.improve import improve_to_acyclic_fpo
-# find_welfare_weights and pareto_improvement_exists, the LP-based fPO
-# oracles, are re-exported for callers that look them up on this module.
+# Only bench/spans.py reads the two fPO names re-exported here: it wraps them.
 from fairdiv.verify import (  # noqa: F401
     PropertyReport,
     find_welfare_weights,

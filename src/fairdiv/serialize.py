@@ -8,6 +8,7 @@ over, so floats are rejected with an error saying what to write instead.
 from __future__ import annotations
 
 import re
+import reprlib
 from fractions import Fraction
 from math import gcd
 
@@ -48,7 +49,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         raise ValueError(
             f'floating-point value {value!r} is not exact; write it as a string like "3/10"')
-    raise ValueError(f"expected a rational string, got {value!r}")
+    raise ValueError(f"expected a rational string, got {reprlib.repr(value)}")
 
 
 def _parse_rational_text(text: str) -> Fraction:
@@ -190,15 +191,16 @@ def parse_allocation(doc, agent_ids, item_ids) -> IntegralAllocation:
     owners = [None] * len(item_ids)
     for item, agent in doc["owner"].items():
         if item not in item_index:
-            raise ValueError(f"unknown item id {item!r}")
+            raise ValueError(f"unknown item id {reprlib.repr(item)}")
         if not isinstance(agent, str):
-            raise ValueError(f"owner of item {item!r} must be an agent id string, got {agent!r}")
+            raise ValueError(f"owner of item {reprlib.repr(item)} must be an agent id "
+                             f"string, got {reprlib.repr(agent)}")
         if agent not in agent_index:
-            raise ValueError(f"unknown agent id {agent!r}")
+            raise ValueError(f"unknown agent id {reprlib.repr(agent)}")
         owners[item_index[item]] = agent_index[agent]
     unassigned = [item_ids[j] for j, v in enumerate(owners) if v is None]
     if unassigned:
-        raise ValueError(f"allocation assigns no owner to {unassigned}")
+        raise ValueError(f"allocation assigns no owner to {reprlib.repr(unassigned)}")
     return IntegralAllocation(len(agent_ids), tuple(owners))
 
 

@@ -7,14 +7,13 @@ value, so a reader can replay the defining inequality without re-running
 the checker.
 
 Pareto optimality of integral allocations is decided by exhaustive search
-over all n**m owner assignments (with a cap), independent of the LP stack;
-fractional Pareto optimality is decided by a welfare LP. Welfare weights,
-when they exist, certify fPO: an allocation maximizing a positively
-weighted welfare sum cannot be Pareto-improved. ``recheck_welfare_weights``
-replays such a certificate in O(nm); the pipeline certifies its own output
-that way, with weights taken from its improvement LP's duals. The LP-based
-``pareto_improvement_exists`` and ``find_welfare_weights`` are independent
-of that: they decide ``verify --property fpo`` and serve as test oracles.
+over all n**m owner assignments (with a cap). An allocation is fractionally
+Pareto optimal iff some positive welfare weights make every consumer of
+every item a maximizer of its weighted value (Sandomirskiy & Segal-Halevi,
+arXiv 1908.01669). ``find_welfare_weights`` decides that exactly, with no
+LP: it returns such weights, or None as a proof that none exist.
+``recheck_welfare_weights`` replays weights in O(nm); the pipeline
+certifies its own output that way, with its improvement LP's duals.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Iterator, Optional
 from fairdiv.core import (
     Allocation,
     EnumerationCapExceeded,
-    FractionalAllocation,
     Instance,
     IntegralAllocation,
     InvariantViolation,
@@ -36,8 +34,9 @@ from fairdiv.core import (
     utilities,
     utility,
 )
-from fairdiv.improve import dominance_welfare_lp
-from fairdiv.lp import INFEASIBLE, OPTIMAL, LpProblem, solve
+# Only bench/spans.py reads these two names: its traced run wraps them.
+from fairdiv.improve import dominance_welfare_lp  # noqa: F401
+from fairdiv.lp import solve  # noqa: F401
 
 MEETS_BOUND = "meets-bound"
 ADD_ITEM = "add-item"
@@ -259,54 +258,55 @@ def is_pareto_optimal_integral(instance: Instance, allocation: IntegralAllocatio
 
 
 def pareto_improvement_exists(instance: Instance, allocation: Allocation) -> bool:
-    """Complete fractional Pareto test: is there any fractional allocation
-    weakly better for everyone and strictly better in total welfare?"""
-    if isinstance(allocation, IntegralAllocation):
-        allocation = allocation.to_fractional()
-    solution = solve(dominance_welfare_lp(instance, allocation))
-    if solution.status != OPTIMAL:
-        raise InvariantViolation(f"fPO test LP reported {solution.status}")
-    current = sum(utilities(instance, allocation), Fraction(0))
-    return solution.value > current
+    """Complete fractional Pareto test: is some fractional allocation weakly
+    better for everyone and strictly better for someone?"""
+    return find_welfare_weights(instance, allocation) is None
 
 
 def find_welfare_weights(instance: Instance, allocation: Allocation) -> Optional[tuple]:
-    """Search for strictly positive weights certifying fPO.
+    """Decide fPO exactly: welfare weights certifying it, the least of them
+    1, or None, which proves the allocation is not fPO.
 
-    The allocation maximizes the lambda-weighted welfare iff every item is
-    consumed only by agents maximizing lambda_i * u_i(o). Feasibility of
-    that system (normalized to lambda >= 1) is itself an LP. Returns the
-    weights, or None when this sufficient certificate does not exist here;
-    absence alone does not prove the allocation is not fPO.
+    It is fPO iff some weights lambda > 0 make every consumer i of every item
+    o a maximizer of lambda_j * u_j(o) (Sandomirskiy & Segal-Halevi, arXiv
+    1908.01669). Against another agent j that holds for any weights if
+    u_i(o) >= 0 >= u_j(o), for none if u_i(o) <= 0 <= u_j(o), and otherwise
+    reads lambda_b <= lambda_a * u_a(o) / u_b(o), with (a, b) = (i, j) on a
+    good and (j, i) on a chore. Such bounds have a positive solution iff no
+    cycle of them has a ratio product below 1, so a multiplicative
+    Bellman-Ford from lambda = 1 either settles within n rounds, giving the
+    weights (not an LP vertex), or proves there are none. Entitlements play
+    no part. O(n^2 m + n^3).
     """
-    n = instance.num_agents
+    _check_shape(instance, allocation)
     graph = consumption_graph(allocation)
-    rows = set()
-    for o in instance.items:
-        for i in graph.item_agents[o]:
-            ui = instance.value(i, o)
+    rows = instance.integer_rows
+    tightest = {}  # (a, b) -> least u_a(o) / u_b(o) over the bounds on lambda_b
+    for o, consumers in enumerate(graph.item_agents):
+        for i in consumers:
+            ui = rows[i][1][o]
             for j in instance.agents:
-                if j == i:
+                uj = rows[j][1][o]
+                if j == i or ui >= 0 >= uj:
                     continue
-                uj = instance.value(j, o)
-                if ui >= 0 and uj <= 0:
-                    continue  # holds for any positive weights
-                rows.add((i, ui, j, uj))
+                if ui <= 0 <= uj:
+                    return None
+                a, b = (i, j) if ui > 0 else (j, i)
+                r = Fraction(rows[a][1][o] * rows[b][0], rows[b][1][o] * rows[a][0])
+                tightest[a, b] = min(r, tightest.get((a, b), r))
 
-    zero = Fraction(0)
-    constraints = []
-    for i, ui, j, uj in sorted(rows):
-        coeffs = [zero] * n
-        coeffs[i] += ui
-        coeffs[j] -= uj
-        constraints.append((tuple(coeffs), ">=", uj - ui))
-    problem = LpProblem(n, tuple([zero] * n), tuple(constraints))
-    solution = solve(problem)
-    if solution.status == INFEASIBLE:
-        return None
-    if solution.status != OPTIMAL:
-        raise InvariantViolation(f"weight-search LP reported {solution.status}")
-    weights = tuple(mu + 1 for mu in solution.assignment)
+    weights = [Fraction(1)] * instance.num_agents
+    for _ in instance.agents:
+        settled = True
+        for (a, b), r in tightest.items():
+            if weights[b] > r * weights[a]:
+                weights[b], settled = r * weights[a], False
+        if settled:
+            break
+    else:
+        return None  # still relaxing in round n: a ratio cycle below 1
+    least = min(weights)
+    weights = tuple(w / least for w in weights)
     recheck_welfare_weights(instance, graph, weights)
     return weights
 
@@ -315,8 +315,6 @@ def recheck_welfare_weights(instance: Instance, graph, weights) -> None:
     """Raise InvariantViolation unless every consumer of every item in
     ``graph`` maximizes weights[j] * u_j(o) over all agents j."""
     for o in instance.items:
-        if not graph.item_agents[o]:
-            continue
         best = max(weights[j] * instance.value(j, o) for j in instance.agents)
         for i in graph.item_agents[o]:
             if weights[i] * instance.value(i, o) != best:
@@ -338,8 +336,6 @@ def check_cap(instance: Instance, cap: int) -> None:
     if size > cap:
         raise EnumerationCapExceeded(
             f"{instance.num_agents}**{instance.num_items} = {size} allocations exceed cap {cap}")
-
-
 
 
 def _integer_bundles(instance: Instance, allocation: IntegralAllocation):

@@ -16,7 +16,10 @@ from fairdiv.core import (
     FractionalAllocation,
     Instance,
     IntegralAllocation,
+    utilities,
 )
+from fairdiv.improve import dominance_welfare_lp
+from fairdiv.lp import INFEASIBLE, OPTIMAL, LpProblem, solve
 from fairdiv.verify import ADD_ITEM, MEETS_BOUND, REMOVE_ITEM, AgentWitness, PropertyReport
 
 F = Fraction
@@ -170,8 +173,6 @@ def rand_lp(rng: random.Random):
     bounded, so vertex enumeration is a complete oracle. Zero right-hand
     sides make the origin degenerate, which stresses anti-cycling.
     """
-    from fairdiv.lp import LpProblem
-
     k = rng.randint(1, 4)
     cons = []
     for v in range(k):
@@ -458,3 +459,54 @@ def oracle_propx(instance: Instance, allocation: IntegralAllocation):
         else:
             witnesses.append(AgentWitness(i, ok, rule, item, value, bound, adjusted))
     return PropertyReport("propx", all(w.satisfied for w in witnesses), tuple(witnesses))
+
+
+# ---------------------------------------------------------------------------
+# LP oracles for fractional Pareto optimality
+#
+# verify decides fPO with a combinatorial ratio-graph check. These are the
+# two LP formulations it replaced, kept as independent references: one asks
+# for a Pareto improvement directly, the other for welfare weights. They run
+# the library's simplex, which the check they are compared with never calls.
+
+
+def lp_pareto_improvement_exists(instance: Instance, allocation) -> bool:
+    """Is there a fractional allocation weakly better for everyone and
+    strictly better in total welfare? Solved as the welfare LP with every
+    agent held to its current utility."""
+    if isinstance(allocation, IntegralAllocation):
+        allocation = allocation.to_fractional()
+    solution = solve(dominance_welfare_lp(instance, allocation))
+    assert solution.status == OPTIMAL, solution.status
+    return solution.value > sum(utilities(instance, allocation), Fraction(0))
+
+
+def lp_find_welfare_weights(instance: Instance, allocation):
+    """Weights lambda >= 1 under which every consumer of every item maximizes
+    lambda_i * u_i(o), as a feasibility LP in mu = lambda - 1; None when the
+    LP is infeasible."""
+    n = instance.num_agents
+    if isinstance(allocation, IntegralAllocation):
+        allocation = allocation.to_fractional()
+    rows = set()
+    for o in instance.items:
+        for i in instance.agents:
+            if not allocation.fractions[i][o]:
+                continue
+            ui = instance.value(i, o)
+            for j in instance.agents:
+                uj = instance.value(j, o)
+                if j != i and not (ui >= 0 and uj <= 0):
+                    rows.add((i, ui, j, uj))
+    zero = Fraction(0)
+    constraints = []
+    for i, ui, j, uj in sorted(rows):
+        coeffs = [zero] * n
+        coeffs[i] += ui
+        coeffs[j] -= uj
+        constraints.append((tuple(coeffs), ">=", uj - ui))
+    solution = solve(LpProblem(n, tuple([zero] * n), tuple(constraints)))
+    if solution.status == INFEASIBLE:
+        return None
+    assert solution.status == OPTIMAL, solution.status
+    return tuple(mu + 1 for mu in solution.assignment)

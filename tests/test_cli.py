@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairdiv import cli, serialize
+from fairdiv import cli, lp, serialize
 from fairdiv.cli import main
 from fairdiv.core import Instance, IntegralAllocation
 from fairdiv.serialize import (
@@ -22,6 +22,8 @@ from fairdiv.serialize import (
     print_instance,
 )
 from helpers import rand_instance
+from test_golden import GOLDEN, recorded
+from test_golden import run as run_golden
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -332,6 +334,54 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
         message = json.loads(lines[0])["error"]
         assert message.startswith(f"{deep} is not valid JSON: ")
         assert "internal error" not in message
+
+
+_LONG_LIST = list(range(100_000))
+_LONG_ID = "o" * 200_000
+_ONE_CELL = {"agents": [{"id": "a"}], "items": ["p"], "utilities": [["1"]]}
+
+
+@pytest.mark.parametrize("instance,allocation", [
+    # a utility cell holding a long list
+    ({"agents": [{"id": "a"}], "items": ["p"], "utilities": [[_LONG_LIST]]}, None),
+    # an owner that is a long list
+    (_ONE_CELL, json.dumps({"owner": {"p": _LONG_LIST}})),
+    # an unknown item id of 200,000 characters
+    (_ONE_CELL, json.dumps({"owner": {_LONG_ID: "a"}})),
+    # a long key repeated
+    (_ONE_CELL, f'{{"owner": {{"p": "a"}}, "{_LONG_ID}": 1, "{_LONG_ID}": 2}}'),
+    # thousands of items left without an owner
+    ({"agents": [{"id": "a"}], "items": [f"o{j}" for j in range(20_000)],
+      "utilities": [["1"] * 20_000]}, '{"owner": {}}'),
+], ids=["long-cell", "long-owner", "long-item-id", "long-duplicate-key", "many-unassigned"])
+def test_error_lines_stay_short_whatever_the_input(capsys, tmp_path, instance, allocation):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    argv = ["solve", str(inst)]
+    if allocation is not None:
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(allocation)
+        argv = ["verify", str(inst), str(alloc)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+    assert len(captured.err.encode()) < 1024
+
+
+def test_verify_goldens_run_no_simplex(monkeypatch):
+    # every binding of lp.solve, verify's included, runs through _run_simplex
+    def no_simplex(*args):
+        raise AssertionError("verify ran the simplex")
+
+    monkeypatch.setattr(lp, "_run_simplex", no_simplex)
+    cases = [c for c in recorded().values() if c["argv"][0] == "verify"]
+    assert any("fpo" in c["argv"][-1] for c in cases)
+    for case in cases:
+        code, stdout, _ = run_golden(case["argv"])
+        assert code == case["exit"], case["name"]
+        assert stdout == (GOLDEN / f"{case['name']}.stdout").read_text("utf-8"), case["name"]
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):

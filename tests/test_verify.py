@@ -38,6 +38,8 @@ from helpers import (
     chores_blocks_instance,
     goods_blocks_instance,
     identical_items_instance,
+    lp_find_welfare_weights,
+    lp_pareto_improvement_exists,
     oracle_propx,
     oracle_total_value,
     oracle_weighted_prop,
@@ -92,7 +94,7 @@ def test_checkers_match_fraction_oracles_on_ties():
 
 def test_integer_checkers_reject_a_mismatched_shape():
     inst = Instance([[1, 2], [3, 4]])
-    for check in (weighted_prop1, propx):
+    for check in (weighted_prop1, propx, find_welfare_weights):
         with pytest.raises(ValueError, match="shape"):
             check(inst, IntegralAllocation(3, (0, 1)))
 
@@ -341,6 +343,89 @@ def test_welfare_weights_certify_fractional_shares():
     x = FractionalAllocation(((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))))
     weights = find_welfare_weights(inst, x)
     assert weights is not None
+
+
+# ---------------------------------------------------------------------------
+# the exact fPO decision against both LP formulations it replaced
+
+
+def _halves(n, m):
+    return FractionalAllocation(((F(1, 2),) * m,) * n)
+
+
+def _weights_certify(inst, alloc, weights) -> bool:
+    """Every consumer of every item maximizes weights[j] * u_j(o)."""
+    alloc = alloc.to_fractional() if isinstance(alloc, IntegralAllocation) else alloc
+    for o in inst.items:
+        best = max(weights[j] * inst.value(j, o) for j in inst.agents)
+        for i in inst.agents:
+            if alloc.fractions[i][o] and weights[i] * inst.value(i, o) != best:
+                return False
+    return True
+
+
+def _assert_fpo_decisions_agree(inst, alloc):
+    weights = find_welfare_weights(inst, alloc)
+    fpo = weights is not None
+    assert pareto_improvement_exists(inst, alloc) is not fpo
+    assert lp_pareto_improvement_exists(inst, alloc) is not fpo
+    lp_weights = lp_find_welfare_weights(inst, alloc)
+    assert (lp_weights is not None) is fpo
+    if fpo:
+        assert min(weights) == 1
+        assert _weights_certify(inst, alloc, weights)
+        assert _weights_certify(inst, alloc, lp_weights)
+    return fpo
+
+
+@st.composite
+def _instance_and_allocation(draw):
+    """Values -3..3 over denominators 1..3, zeros included; equal or drawn
+    entitlements; an integral allocation or shares of each item split over
+    a nonempty set of agents."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    values = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=n, max_size=n))
+    inst = Instance(rows, draw(st.none() | st.lists(st.integers(1, 6), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        return inst, IntegralAllocation(n, tuple(owners))
+    parts = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+             for _ in range(m)]
+    return inst, FractionalAllocation(tuple(
+        tuple(Fraction(p[i], sum(p)) for p in parts) for i in range(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_instance_and_allocation())
+def test_fpo_decision_agrees_with_both_lp_oracles(case):
+    _assert_fpo_decisions_agree(*case)
+
+
+@pytest.mark.parametrize("rows,entitlements,alloc,fpo", [
+    # a zero-valued item that someone else values above 0
+    ([[0], [1]], None, IntegralAllocation(2, (0,)), False),
+    # a chore that someone else values at 0
+    ([[-1], [0]], None, IntegralAllocation(2, (0,)), False),
+    # a zero-valued item shared by agents who both value it at 0
+    ([[0], [0]], None, _halves(2, 1), True),
+    # the crossed allocation: a ratio cycle with product 1/4
+    ([[2, 1], [1, 2]], None, IntegralAllocation(2, (1, 0)), False),
+    # identical agents sharing: product exactly 1, a tie and no improvement
+    ([[1, 1], [1, 1]], None, _halves(2, 2), True),
+    ([[], []], None, IntegralAllocation(2, ()), True),
+    ([[3, -2, 0]], None, IntegralAllocation(1, (0, 0, 0)), True),
+    ([[2, 1], [1, 2]], [5, 1], IntegralAllocation(2, (0, 1)), True),
+    ([[2, 1], [1, 2]], [5, 1], IntegralAllocation(2, (1, 0)), False),
+    ([[3, -1], [1, -2]], [1, 4], IntegralAllocation(2, (0, 0)), True),
+], ids=["zero-item-wanted", "chore-at-zero", "zero-item-shared", "crossed",
+        "tie-cycle", "no-items", "one-agent", "entitled-diagonal",
+        "entitled-crossed", "entitled-mixed"])
+def test_fpo_decision_on_each_branch(rows, entitlements, alloc, fpo):
+    inst = Instance(rows, entitlements)
+    assert _assert_fpo_decisions_agree(inst, alloc) is fpo
+    # entitlements are not welfare weights: they change nothing here
+    assert find_welfare_weights(inst, alloc) == find_welfare_weights(Instance(rows), alloc)
 
 
 def test_integral_only_checks_reject_fractional_input():
