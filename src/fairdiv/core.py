@@ -30,14 +30,17 @@ class EnumerationCapExceeded(FairDivisionError):
 
 
 def as_fraction(value: Union[int, Fraction]) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject floats outright.
+    """Coerce an int or Fraction to Fraction; reject floats and bools outright.
 
     A Fraction is immutable, so one is returned as it is rather than copied.
+    A bool is an int to Python but not a quantity, as JSON's ``true`` is not.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise ValueError("floats are not exact; pass int, Fraction, or a rational string")
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number; pass int, Fraction, or a rational string")
     return Fraction(value)
 
 
@@ -184,7 +187,7 @@ class IntegralAllocation:
         if self.num_agents < 1:
             raise ValueError("an allocation needs at least one agent")
         for a in owners:
-            if not isinstance(a, int) or not 0 <= a < self.num_agents:
+            if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.num_agents:
                 raise ValueError("every item must be owned by a valid agent index")
         object.__setattr__(self, "owners", owners)
 
@@ -274,8 +277,16 @@ def utility(instance: Instance, allocation: Allocation, agent: int) -> Fraction:
 
 
 def utilities(instance: Instance, allocation: Allocation) -> tuple:
-    """Utility profile of all agents under the allocation."""
-    return tuple(utility(instance, allocation, i) for i in instance.agents)
+    """Utility profile of all agents under the allocation. An integral one
+    is summed on the integer rows in one pass over its owners."""
+    if not isinstance(allocation, IntegralAllocation):
+        return tuple(utility(instance, allocation, i) for i in instance.agents)
+    _check_shape(instance, allocation)
+    rows = [row for _, row in instance.integer_rows]
+    sums = [0] * instance.num_agents
+    for o, a in enumerate(allocation.owners):
+        sums[a] += rows[a][o]
+    return tuple(Fraction(s, d) for s, (d, _) in zip(sums, instance.integer_rows))
 
 
 def proportional_share(instance: Instance, agent: int) -> Fraction:

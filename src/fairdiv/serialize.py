@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import reprlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from fairdiv.core import FractionalAllocation, Instance, IntegralAllocation, integer_row
 from fairdiv.verify import AgentWitness, PropertyReport
@@ -90,30 +90,39 @@ def _ratio(value) -> tuple:
     return f.numerator, f.denominator
 
 
-def _row_ratios(row: list, memo: dict) -> list:
-    """``[_ratio(v) for v in row]``, reading each distinct string once per
-    document when the row repeats itself: at least two entries per distinct
-    value, as in valuation tables drawn from a small scale. ``memo`` maps
-    strings read so far to their pairs; only strings are keys, since
-    ``True``, ``1`` and ``1.0`` hash alike and bools and floats must still
-    be rejected. A row that does not repeat, or holds an unhashable entry,
-    is read entry by entry."""
+def _integer_row(row: list, memo: dict) -> tuple:
+    """The agent row ``(d, N)`` that ``integer_row`` builds from
+    ``[_ratio(v) for v in row]``.
+
+    A row that repeats itself, at least two entries per distinct value as
+    in valuation tables drawn from a small scale, and holds only JSON
+    integers and strings is read through a table: each distinct value is
+    read once, through ``memo``, which maps the values read so far in this
+    document to their pairs, and is scaled once, and ``N`` maps the row
+    through the scaled values, so it holds one int object per distinct
+    value. A bool, which hashes like an int, never reaches the table or
+    ``memo``. Any other row is read entry by entry, as is a table row when
+    one of its values fails to read, so an error always names the row's
+    first bad entry."""
     try:
-        repeats = 2 * len(set(row)) <= len(row)
+        distinct = set(row)
     except TypeError:  # a list or object among the entries
-        repeats = False
-    if not repeats:
-        return [_ratio(v) for v in row]
-    out = []
-    for v in row:
-        if type(v) is str:
-            pair = memo.get(v)
-            if pair is None:
-                pair = memo[v] = _ratio(v)
+        distinct = row
+    if 2 * len(distinct) <= len(row) and set(map(type, row)) <= {int, str}:
+        pairs = {}
+        try:
+            for v in distinct:
+                pair = memo.get(v)
+                if pair is None:
+                    pair = memo[v] = _ratio(v)
+                pairs[v] = pair
+        except ValueError:
+            pass  # read again below, in row order
         else:
-            pair = _ratio(v)
-        out.append(pair)
-    return out
+            d = lcm(*{q for _, q in pairs.values()})
+            scaled = {v: p * (d // q) for v, (p, q) in pairs.items()}
+            return d, tuple(map(scaled.__getitem__, row))
+    return integer_row([_ratio(v) for v in row])
 
 
 def format_rational(value: Fraction) -> str:
@@ -160,11 +169,11 @@ def parse_instance(doc) -> tuple:
     if not isinstance(utilities, list) or len(utilities) != len(agent_ids):
         raise ValueError("utilities must hold one row per agent")
     rows = []
-    memo = {}  # rational string -> (p, q), for this document only
+    memo = {}  # JSON integer or string -> (p, q), for this document only
     for row in utilities:
         if not isinstance(row, list) or len(row) != len(item_ids):
             raise ValueError("every utility row must hold one entry per item")
-        rows.append(integer_row(_row_ratios(row, memo)))
+        rows.append(_integer_row(row, memo))
 
     instance = Instance.from_integer_rows(rows, tuple(weights) if all(weighted) else None)
     return instance, tuple(agent_ids), tuple(item_ids)

@@ -32,7 +32,6 @@ from fairdiv.core import (
     consumption_graph,
     proportional_share,
     utilities,
-    utility,
 )
 # Only bench/spans.py reads these two names: its traced run wraps them.
 from fairdiv.improve import dominance_welfare_lp  # noqa: F401
@@ -81,8 +80,7 @@ class PropertyReport:
 def weighted_prop(instance: Instance, allocation: Allocation) -> PropertyReport:
     """Does every agent get at least its weighted share of the whole pie?"""
     witnesses = []
-    for i in instance.agents:
-        value = utility(instance, allocation, i)
+    for i, value in enumerate(utilities(instance, allocation)):
         bound = proportional_share(instance, i)
         ok = value >= bound
         witnesses.append(AgentWitness(i, ok, MEETS_BOUND if ok else None, None,
@@ -97,24 +95,37 @@ def weighted_prop1(instance: Instance, allocation: IntegralAllocation) -> Proper
     or would after adding one item it does not own, or after removing one
     item it does own. The witness carries the certifying rule and item; for
     a failing agent it carries the best adjustment available, whose
-    adjusted value still falls short of the bound.
+    adjusted value still falls short of the bound. Ties go to the lowest
+    index: the item added is the lowest-index unowned item of greatest
+    value, the item removed the lowest-index owned item of least value.
 
     Items are chosen and compared on the agent's integer row N over d: with
     weight p/q and total T = sum(N), "v/d >= (p/q)(T/d)" is "v*q >= p*T".
     """
     _require_integral(allocation)
+    _check_shape(instance, allocation)
     witnesses = []
-    for i, (d, row, owned, unowned) in enumerate(_integer_bundles(instance, allocation)):
-        value = sum(row[o] for o in owned)
+    for i, ((d, row), owned) in enumerate(zip(instance.integer_rows, allocation.bundles())):
+        value = sum(map(row.__getitem__, owned))
         p, q = instance.weights[i].as_integer_ratio()
         need = p * sum(row)
-        # max/min return the first extreme item, i.e. the lowest index
-        best_add = max(unowned, key=row.__getitem__, default=None)
-        best_rm = min(owned, key=row.__getitem__, default=None)
-
         if value * q >= need:
-            ok, rule, item, adjusted = True, MEETS_BOUND, None, value
-        elif best_add is not None and (value + row[best_add]) * q >= need:
+            witnesses.append(AgentWitness(i, True, MEETS_BOUND, None, Fraction(value, d),
+                                          Fraction(need, q * d), Fraction(value, d)))
+            continue
+        best_add = best_rm = None
+        if len(owned) < len(row):
+            # owned items masked below every value, so the first maximum
+            # of the copy is the lowest-index best unowned item
+            masked = list(row)
+            low = min(row) - 1
+            for o in owned:
+                masked[o] = low
+            best_add = masked.index(max(masked))
+        if owned:
+            best_rm = min(owned, key=row.__getitem__)  # the first minimum
+
+        if best_add is not None and (value + row[best_add]) * q >= need:
             ok, rule, item, adjusted = True, ADD_ITEM, best_add, value + row[best_add]
         elif best_rm is not None and (value - row[best_rm]) * q >= need:
             ok, rule, item, adjusted = True, REMOVE_ITEM, best_rm, value - row[best_rm]
@@ -139,31 +150,43 @@ def propx(instance: Instance, allocation: IntegralAllocation) -> PropertyReport:
     the one with the smallest adjusted value (violating it, if any does).
     Either adjustment raises the bundle value by |u_i(o)|, so the worst is
     the owned chore or unowned good with the least |N[o]| on the agent's
-    integer row, lowest index first.
+    integer row; among equals, the lowest index. A bundle that meets the
+    bound meets it after every such adjustment too, and is witnessed by
+    "meets-bound".
     """
     _require_integral(allocation)
+    _check_shape(instance, allocation)
     n = instance.num_agents
     witnesses = []
-    for i, (d, row, owned, unowned) in enumerate(_integer_bundles(instance, allocation)):
-        value = sum(row[o] for o in owned)
+    for i, ((d, row), owned) in enumerate(zip(instance.integer_rows, allocation.bundles())):
+        value = sum(map(row.__getitem__, owned))
         total = sum(row)
         bundle_value, bound = Fraction(value, d), Fraction(total, d * n)
-        extremes = [o for o in owned if row[o] < 0] + [o for o in unowned if row[o] > 0]
-        if not extremes:
-            # no extreme item to quantify over; the bundle itself decides
-            witnesses.append(AgentWitness(i, value * n >= total, MEETS_BOUND, None,
-                                          bundle_value, bound, bundle_value))
-            continue
-        item = min(extremes, key=lambda o: (abs(row[o]), o))
-        adjusted = value + abs(row[item])
-        ok = adjusted * n >= total
-        if ok and value * n >= total:
+        if value * n >= total:
             witnesses.append(AgentWitness(i, True, MEETS_BOUND, None,
                                           bundle_value, bound, bundle_value))
-        else:
-            rule = REMOVE_ITEM if row[item] < 0 else ADD_ITEM
-            witnesses.append(AgentWitness(i, ok, rule, item, bundle_value, bound,
-                                          Fraction(adjusted, d)))
+            continue
+        # owned items masked to 0, so the least positive entry of the copy
+        # is the least unowned good, and its first place the lowest index
+        masked = list(row)
+        for o in owned:
+            masked[o] = 0
+        good = min(filter((0).__lt__, masked), default=None)
+        item = None if good is None else masked.index(good)
+        chores = [o for o in owned if row[o] < 0]
+        if chores:
+            chore = max(chores, key=row.__getitem__)  # the first maximum
+            if item is None or (-row[chore], chore) < (good, item):
+                item = chore
+        if item is None:
+            # no extreme item to quantify over; the bundle itself decides
+            witnesses.append(AgentWitness(i, False, MEETS_BOUND, None,
+                                          bundle_value, bound, bundle_value))
+            continue
+        adjusted = value + abs(row[item])
+        rule = REMOVE_ITEM if row[item] < 0 else ADD_ITEM
+        witnesses.append(AgentWitness(i, adjusted * n >= total, rule, item, bundle_value,
+                                      bound, Fraction(adjusted, d)))
     return _report("propx", witnesses)
 
 
@@ -336,12 +359,3 @@ def check_cap(instance: Instance, cap: int) -> None:
     if size > cap:
         raise EnumerationCapExceeded(
             f"{instance.num_agents}**{instance.num_items} = {size} allocations exceed cap {cap}")
-
-
-def _integer_bundles(instance: Instance, allocation: IntegralAllocation):
-    """Per agent, lazily: its integer row (d, N) and the ascending lists of
-    the items it owns and does not own."""
-    _check_shape(instance, allocation)
-    bundles, owners = allocation.bundles(), allocation.owners
-    return ((d, row, bundles[i], [o for o, a in enumerate(owners) if a != i])
-            for i, (d, row) in enumerate(instance.integer_rows))

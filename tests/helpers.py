@@ -461,6 +461,13 @@ def oracle_propx(instance: Instance, allocation: IntegralAllocation):
     return PropertyReport("propx", all(w.satisfied for w in witnesses), tuple(witnesses))
 
 
+def oracle_pareto_dominates(instance: Instance, better: IntegralAllocation,
+                            worse: IntegralAllocation) -> bool:
+    a = [_oracle_bundle_value(instance, better.owners, i) for i in instance.agents]
+    b = [_oracle_bundle_value(instance, worse.owners, i) for i in instance.agents]
+    return all(x >= y for x, y in zip(a, b)) and a != b
+
+
 # ---------------------------------------------------------------------------
 # LP oracles for fractional Pareto optimality
 #

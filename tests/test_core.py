@@ -106,6 +106,19 @@ def test_as_fraction_keeps_fractions_and_converts_ints():
     assert Instance([[half]]).utilities[0][0] is half
 
 
+@pytest.mark.parametrize("build", [
+    lambda: as_fraction(True),
+    lambda: Instance([[True, 2]]),
+    lambda: Instance([[1, 2], [3, 4]], weights=[True, 1]),
+    lambda: IntegralAllocation(2, (True, False)),
+    lambda: FractionalAllocation(((True,),)),
+], ids=["as_fraction", "utilities", "weights", "owners", "shares"])
+def test_bools_are_rejected_like_json_true(build):
+    # True == 1 to Python, but the JSON path rejects true, and so does the API
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_proportional_share_equal_weights():
     inst = Instance([[4, -2], [4, -2]])
     assert proportional_share(inst, 0) == 1

@@ -1,10 +1,12 @@
 """parse_instance against parse_rational: it reads utilities straight into
 integer rows, and must give the instance, and the errors, that reading each
 value with parse_rational and building ``Instance`` from them gives. Rows
-that repeat their values read each distinct string once per document; the
+that repeat their values and hold only JSON integers and strings are read
+through a table of their distinct values, each read once per document; the
 tests below hold that path to the same answers and errors."""
 
 import json
+import random
 import re
 from fractions import Fraction
 from unittest import mock
@@ -130,6 +132,54 @@ def test_repeating_row_reports_its_first_bad_entry():
     doc = {"agents": [{"id": "x"}], "items": [f"o{j}" for j in range(16)], "utilities": [row]}
     with pytest.raises(ValueError, match="expected a rational string, got True"):
         parse_instance(doc)
+
+
+@pytest.mark.parametrize("bad", [
+    {5: "1/0", 11: "1_0", 13: "x"},
+    {15: "1/0", 13: "y", 11: "1_0", 9: "1/0/0", 2: "x"},
+    {6: 10 ** MAX_RATIONAL_CHARS, 12: "1/0"},
+], ids=["strings", "strings-out-of-order", "long-int-then-string"])
+def test_table_row_reports_its_first_bad_value(bad):
+    # a row of JSON integers and strings that repeats is read one distinct
+    # value at a time, in no fixed order; the error still names the first
+    row = [1, "1", "1/2", -3] * 4
+    for at, value in bad.items():
+        row[at] = value
+    with pytest.raises(ValueError) as expected:
+        parse_rational(row[min(bad)])
+    doc = {"agents": [{"id": "x"}], "items": [f"o{j}" for j in range(16)], "utilities": [row]}
+    with pytest.raises(ValueError) as got:
+        parse_instance(doc)
+    assert str(got.value) == str(expected.value)
+
+
+def _instance_of_parse_rational(utilities):
+    return Instance([[parse_rational(v) for v in row] for row in utilities])
+
+
+def test_repeating_rows_hold_one_int_per_distinct_value():
+    # 50 rows of 400 entries drawn from a few dozen values, written as JSON
+    # integers and as strings, large enough that CPython caches none of them
+    rng = random.Random(5)
+    pool = [v for k in range(1, 13) for v in (10 ** 6 + k, f"{10 ** 6 * k + 1}/{k + 1}")]
+    utilities = [[rng.choice(pool) for _ in range(400)] for _ in range(50)]
+    doc = {"agents": [{"id": f"a{i}"} for i in range(50)],
+           "items": [f"o{j}" for j in range(400)], "utilities": utilities}
+    instance, _, _ = parse_instance(doc)
+    assert instance == _instance_of_parse_rational(utilities)
+    for row, (_, scaled) in zip(utilities, instance.integer_rows):
+        assert len({id(v) for v in scaled}) <= len(set(row))
+
+
+def test_all_distinct_rows_match_instance_of_parse_rational():
+    m = 400
+    utilities = [[k * 7 + i if k % 2 else f"{k * 7 + i}/{k % 11 + 1}" for k in range(m)]
+                 for i in range(3)]
+    assert all(len(set(row)) == m for row in utilities)
+    doc = {"agents": [{"id": f"a{i}"} for i in range(3)],
+           "items": [f"o{j}" for j in range(m)], "utilities": utilities}
+    instance, _, _ = parse_instance(doc)
+    assert instance.integer_rows == _instance_of_parse_rational(utilities).integer_rows
 
 
 def test_each_distinct_string_is_read_once_per_document(monkeypatch):

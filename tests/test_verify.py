@@ -40,6 +40,7 @@ from helpers import (
     identical_items_instance,
     lp_find_welfare_weights,
     lp_pareto_improvement_exists,
+    oracle_pareto_dominates,
     oracle_propx,
     oracle_total_value,
     oracle_weighted_prop,
@@ -92,9 +93,38 @@ def test_checkers_match_fraction_oracles_on_ties():
         assert propx(inst, alloc) == oracle_propx(inst, alloc)
 
 
+@st.composite
+def _tied_instance_and_owner_pair(draw):
+    # values in -2..2 over up to 60 items: nearly every choice is a tie.
+    # Owners are drawn from a subset of the agents, so agents that own
+    # every item, and agents that own none, are common.
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 60))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    weights = draw(st.none() | st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    owner_pairs = []
+    for _ in range(2):
+        pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        owners = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        owner_pairs.append(IntegralAllocation(n, tuple(owners)))
+    return Instance(rows, weights), *owner_pairs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_tied_instance_and_owner_pair())
+def test_checkers_match_fraction_oracles_on_heavy_ties(case):
+    inst, alloc, other = case
+    assert weighted_prop(inst, alloc) == oracle_weighted_prop(inst, alloc)
+    assert weighted_prop1(inst, alloc) == oracle_weighted_prop1(inst, alloc)
+    assert propx(inst, alloc) == oracle_propx(inst, alloc)
+    assert pareto_dominates(inst, alloc, other) == oracle_pareto_dominates(inst, alloc, other)
+    assert pareto_dominates(inst, other, alloc) == oracle_pareto_dominates(inst, other, alloc)
+    assert pareto_dominates(inst, alloc, alloc) is False
+
+
 def test_integer_checkers_reject_a_mismatched_shape():
     inst = Instance([[1, 2], [3, 4]])
-    for check in (weighted_prop1, propx, find_welfare_weights):
+    for check in (weighted_prop, weighted_prop1, propx, find_welfare_weights):
         with pytest.raises(ValueError, match="shape"):
             check(inst, IntegralAllocation(3, (0, 1)))
 
