@@ -265,12 +265,22 @@ def _check_shape(instance: Instance, allocation: Allocation) -> None:
         raise ValueError("allocation shape does not match instance")
 
 
+def _mixed_sign_item(instance: Instance, graph: ConsumptionGraph) -> Optional[int]:
+    """The first shared item of ``graph`` whose consumers do not all value
+    it with one strict sign, read off the integer rows, or None."""
+    rows = [row for _, row in instance.integer_rows]
+    for o in graph.shared_items():
+        values = [rows[i][o] for i in graph.item_agents[o]]
+        if not (all(v > 0 for v in values) or all(v < 0 for v in values)):
+            return o
+    return None
+
+
 def utility(instance: Instance, allocation: Allocation, agent: int) -> Fraction:
     """Agent's additive utility for its (possibly fractional) bundle."""
-    _check_shape(instance, allocation)
     if isinstance(allocation, IntegralAllocation):
-        d, row = instance.integer_rows[agent]
-        return Fraction(sum(v for v, a in zip(row, allocation.owners) if a == agent), d)
+        return utilities(instance, allocation)[agent]
+    _check_shape(instance, allocation)
     row = instance.utilities[agent]
     frac = allocation.fractions[agent]
     return sum((row[o] * frac[o] for o in instance.items if frac[o]), Fraction(0))
@@ -321,7 +331,9 @@ def find_cycle(graph: ConsumptionGraph) -> Optional[Cycle]:
 
     Deterministic: depth-first from the lowest-index agent, lowest-index
     neighbor first, so a fixed graph always yields the same cycle. Iterative
-    to stay safe on long agent-item chains.
+    to stay safe on long agent-item chains. An undirected depth-first search
+    meets a visited vertex again only on its own root path, so the cycle is
+    read off the parent chain.
     """
     n = graph.num_agents
     # Vertices: agents are 0..n-1, item o is n+o.
@@ -330,37 +342,27 @@ def find_cycle(graph: ConsumptionGraph) -> Optional[Cycle]:
             return tuple(n + o for o in graph.agent_items[v])
         return graph.item_agents[v - n]
 
-    visited = set()
+    parent = {}
     for start in range(n):
-        if start in visited:
+        if start in parent:
             continue
-        path = [start]
-        on_path = {start: 0}
-        visited.add(start)
-        iters = [iter(neighbors(start))]
-        parent = [None]
-        while iters:
-            moved = False
-            for w in iters[-1]:
-                if w == parent[-1]:
+        parent[start] = None
+        stack = [(start, iter(neighbors(start)))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                if w == parent[v]:
                     continue
-                if w in on_path:
-                    cyc = path[on_path[w]:]
-                    return _as_cycle(cyc, n)
-                if w in visited:
-                    # finished descendant; its back edge was examined already
-                    continue
-                visited.add(w)
-                on_path[w] = len(path)
-                parent.append(path[-1])
-                path.append(w)
-                iters.append(iter(neighbors(w)))
-                moved = True
+                if w in parent:
+                    chain = [v]
+                    while chain[-1] != w:
+                        chain.append(parent[chain[-1]])
+                    return _as_cycle(chain[::-1], n)
+                parent[w] = v
+                stack.append((w, iter(neighbors(w))))
                 break
-            if not moved:
-                del on_path[path.pop()]
-                iters.pop()
-                parent.pop()
+            else:
+                stack.pop()
     return None
 
 

@@ -24,6 +24,7 @@ from fairdiv.core import (
     FractionalAllocation,
     Instance,
     InvariantViolation,
+    _mixed_sign_item,
     consumption_graph,
     find_cycle,
     utility,
@@ -121,11 +122,6 @@ def _check_shared_items_same_sign(instance: Instance, x: FractionalAllocation) -
     graph = consumption_graph(x)
     if find_cycle(graph) is not None:
         raise InvariantViolation("the improvement LP vertex shares items along a cycle")
-    for o in graph.shared_items():
-        signs = {_sign(instance.value(i, o)) for i in graph.item_agents[o]}
-        if len(signs) > 1 or 0 in signs:
-            raise InvariantViolation(f"item {o} is shared without one strict utility sign")
-
-
-def _sign(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
+    o = _mixed_sign_item(instance, graph)
+    if o is not None:
+        raise InvariantViolation(f"item {o} is shared without one strict utility sign")

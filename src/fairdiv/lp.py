@@ -80,7 +80,7 @@ class LpSolution:
 
 def solve(problem: LpProblem) -> LpSolution:
     """Solve an LpProblem exactly; see module docstring for guarantees."""
-    tab, basic, slacks, n_struct, n_slack, art_start = _standard_form(problem)
+    tab, basic, slacks, n_struct, art_start = _standard_form(problem)
 
     has_artificials = any(b >= art_start for b in basic)
     if has_artificials:
@@ -97,12 +97,12 @@ def solve(problem: LpProblem) -> LpSolution:
     if not _run_simplex(tab, basic, obj):
         return LpSolution(status=UNBOUNDED)
 
+    support = [(b, tab[r][-1]) for r, b in enumerate(basic) if b < n_struct and tab[r][-1]]
     assignment = [Fraction(0)] * n_struct
-    for r, b in enumerate(basic):
-        if b < n_struct:
-            assignment[b] = tab[r][-1]
-    value = sum((c * x for c, x in zip(problem.objective, assignment)), Fraction(0))
-    _recheck_feasible(problem, assignment)
+    for j, x in support:
+        assignment[j] = x
+    value = sum((problem.objective[j] * x for j, x in support), Fraction(0))
+    _recheck_feasible(problem, support)
     return LpSolution(
         status=OPTIMAL,
         value=value,
@@ -174,17 +174,16 @@ def _standard_form(problem: LpProblem):
             basic.append(art_col)
             art_col += 1
         tab.append(row)
-    return tab, basic, slacks, n_struct, n_slack, art_start
+    return tab, basic, slacks, n_struct, art_start
 
 
 def _reduced_costs(tab, basic, cost):
     """Objective row [d_0 .. d_N, -value]; the negated value cell keeps the
-    pivot update uniform across the whole row."""
-    width = len(tab[0]) if tab else len(cost) + 1
-    obj = list(cost) + [Fraction(0)] * (width - len(cost) - 1)
-    obj.append(Fraction(0))
+    pivot update uniform across the whole row. ``cost`` prices every column
+    of the tableau."""
+    obj = list(cost) + [Fraction(0)]
     for r, b in enumerate(basic):
-        cb = cost[b] if b < len(cost) else Fraction(0)
+        cb = cost[b]
         if cb:
             row = tab[r]
             for j, v in enumerate(row):
@@ -249,12 +248,13 @@ def _drive_out_artificials(tab, basic, art_start):
         _pivot(tab, basic, [Fraction(0)] * len(row), r, col)
 
 
-def _recheck_feasible(problem: LpProblem, assignment) -> None:
-    """Substitute the solution back into the original constraints."""
-    if any(x < 0 for x in assignment):
+def _recheck_feasible(problem: LpProblem, support) -> None:
+    """Substitute the solution, given as its nonzero ``(index, value)``
+    entries, back into the original constraints."""
+    if any(x < 0 for _, x in support):
         raise InvariantViolation("solver produced a negative variable")
     for coeffs, rel, rhs in problem.constraints:
-        lhs = sum((c * x for c, x in zip(coeffs, assignment)), Fraction(0))
+        lhs = sum((coeffs[j] * x for j, x in support), Fraction(0))
         ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
         if not ok:
             raise InvariantViolation("solver produced an infeasible point")

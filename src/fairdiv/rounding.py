@@ -35,6 +35,8 @@ from fairdiv.core import (
     Instance,
     IntegralAllocation,
     InvariantViolation,
+    _check_shape,
+    _mixed_sign_item,
     consumption_graph,
     find_cycle,
 )
@@ -81,26 +83,17 @@ def round_acyclic(instance: Instance, allocation: FractionalAllocation) -> Integ
     chore goes to the lowest-index other consumer. The at-most-one-loss
     property is instrumented and enforced.
     """
-    n, m = allocation.num_agents, allocation.num_items
-    if instance.num_agents != n or instance.num_items != m:
-        raise ValueError("allocation shape does not match instance")
+    _check_shape(instance, allocation)
     graph = consumption_graph(allocation)
     if find_cycle(graph) is not None:
         raise ValueError("allocation shares items along a cycle; improve it first")
+    o = _mixed_sign_item(instance, graph)
+    if o is not None:
+        raise ValueError(f"shared item {o} lacks a single strict sign")
 
-    rows = instance.utilities
-    owners = [-1] * m
-    for o, agents in enumerate(graph.item_agents):
-        if len(agents) == 1:
-            owners[o] = agents[0]
-        else:
-            # sign of a Fraction is the sign of its numerator; int compares
-            # keep this hot path cheap
-            signs = {(rows[i][o].numerator > 0) - (rows[i][o].numerator < 0)
-                     for i in agents}
-            if len(signs) != 1 or 0 in signs:
-                raise ValueError(f"shared item {o} lacks a single strict sign")
-
+    n = allocation.num_agents
+    rows = [row for _, row in instance.integer_rows]
+    owners = [agents[0] if len(agents) == 1 else -1 for agents in graph.item_agents]
     losses = [0] * n  # shared items decided against an agent before its turn
     for root in range(n):
         # one undecided shared item: a leaf of a tree not walked yet
@@ -113,7 +106,7 @@ def round_acyclic(instance: Instance, allocation: FractionalAllocation) -> Integ
                 if owners[o] >= 0:
                     continue
                 others = [k for k in graph.item_agents[o] if k != j]
-                good = rows[j][o].numerator > 0
+                good = rows[j][o] > 0
                 owners[o] = j if good else others[0]
                 for k in others if good else others[:1]:
                     losses[k] += 1

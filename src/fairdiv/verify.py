@@ -18,8 +18,11 @@ certifies its own output that way, with its improvement LP's duals.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Optional
 
 from fairdiv.core import (
@@ -29,6 +32,7 @@ from fairdiv.core import (
     IntegralAllocation,
     InvariantViolation,
     _check_shape,
+    as_fraction,
     consumption_graph,
     proportional_share,
     utilities,
@@ -206,18 +210,9 @@ def enumerate_integral_allocations(instance: Instance,
                                    cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[IntegralAllocation]:
     """Yield all n**m owner assignments in lexicographic order; refuses to
     start when their number exceeds the cap."""
-    n, m = instance.num_agents, instance.num_items
     check_cap(instance, cap)
-    owners = [0] * m
-    while True:
-        yield IntegralAllocation(n, tuple(owners))
-        o = m - 1
-        while o >= 0 and owners[o] == n - 1:
-            owners[o] = 0
-            o -= 1
-        if o < 0:
-            return
-        owners[o] += 1
+    for owners in itertools.product(instance.agents, repeat=instance.num_items):
+        yield IntegralAllocation(instance.num_agents, owners)
 
 
 def is_pareto_optimal_integral(instance: Instance, allocation: IntegralAllocation,
@@ -336,12 +331,21 @@ def find_welfare_weights(instance: Instance, allocation: Allocation) -> Optional
 
 def recheck_welfare_weights(instance: Instance, graph, weights) -> None:
     """Raise InvariantViolation unless every consumer of every item in
-    ``graph`` maximizes weights[j] * u_j(o) over all agents j."""
-    for o in instance.items:
-        best = max(weights[j] * instance.value(j, o) for j in instance.agents)
-        for i in graph.item_agents[o]:
-            if weights[i] * instance.value(i, o) != best:
-                raise InvariantViolation("welfare weights fail to certify the allocation")
+    ``graph`` maximizes weights[j] * u_j(o) over all agents j.
+
+    Runs on the integer rows: with u_j(o) = N_j[o] / d_j, each
+    weights[j] / d_j is written k_j / L over one common denominator L, and
+    k_j * N_j[o] stands in for weights[j] * u_j(o). Multiplying every
+    product by the same L > 0 changes neither equalities nor maxima.
+    """
+    scaled = [as_fraction(w) / d for w, (d, _) in zip(weights, instance.integer_rows)]
+    lcd = math.lcm(*(s.denominator for s in scaled))
+    k = [s.numerator * (lcd // s.denominator) for s in scaled]
+    for column, consumers in zip(zip(*(row for _, row in instance.integer_rows)),
+                                 graph.item_agents):
+        best = max(map(mul, k, column))
+        if any(k[i] * column[i] != best for i in consumers):
+            raise InvariantViolation("welfare weights fail to certify the allocation")
 
 
 def _report(name: str, witnesses: list) -> PropertyReport:

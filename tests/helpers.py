@@ -461,6 +461,19 @@ def oracle_propx(instance: Instance, allocation: IntegralAllocation):
     return PropertyReport("propx", all(w.satisfied for w in witnesses), tuple(witnesses))
 
 
+def oracle_weights_certify(instance: Instance, allocation, weights) -> bool:
+    """Does every consumer of every item attain max_j weights[j] * u_j(o)?
+    The plain Fraction replay: no consumer may fall below the maximum."""
+    if isinstance(allocation, IntegralAllocation):
+        allocation = allocation.to_fractional()
+    for o in instance.items:
+        best = max(weights[j] * instance.value(j, o) for j in instance.agents)
+        for i in instance.agents:
+            if allocation.fractions[i][o] and weights[i] * instance.value(i, o) < best:
+                return False
+    return True
+
+
 def oracle_pareto_dominates(instance: Instance, better: IntegralAllocation,
                             worse: IntegralAllocation) -> bool:
     a = [_oracle_bundle_value(instance, better.owners, i) for i in instance.agents]

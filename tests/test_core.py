@@ -230,6 +230,29 @@ def test_find_cycle_agrees_with_union_find():
             assert cyc.agents[0] == min(cyc.agents)
 
 
+def _graph(n, item_agents):
+    agent_items = tuple(tuple(o for o, ag in enumerate(item_agents) if a in ag)
+                        for a in range(n))
+    return ConsumptionGraph(agent_items, tuple(item_agents))
+
+
+@pytest.mark.parametrize("n, item_agents, cycle", [
+    # every agent shares every item
+    (3, [(0, 1, 2)] * 3, Cycle(agents=(0, 1), items=(0, 1))),
+    # agent 0's tree is acyclic; the next tree has two cycles through agent 3
+    (6, [(0, 1), (1, 2), (3, 4), (3, 4), (3, 5), (4, 5)],
+     Cycle(agents=(3, 4), items=(2, 3))),
+    # the search closes the 4-agent cycle before the 2-agent one on items 0, 3
+    (4, [(0, 1), (1, 2), (2, 3), (0, 1), (0, 3)],
+     Cycle(agents=(0, 1, 2, 3), items=(0, 1, 2, 4))),
+    # every pair of four agents shares an item
+    (4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)],
+     Cycle(agents=(1, 2, 3), items=(1, 2, 4))),
+], ids=["complete", "second-tree", "long-first", "all-pairs"])
+def test_find_cycle_returns_the_first_cycle_the_search_closes(n, item_agents, cycle):
+    assert find_cycle(_graph(n, item_agents)) == cycle
+
+
 def test_empty_item_set_has_empty_graph():
     inst = Instance([[], []])
     x = FractionalAllocation(((), ()))

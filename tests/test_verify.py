@@ -11,6 +11,8 @@ from fairdiv.core import (
     FractionalAllocation,
     Instance,
     IntegralAllocation,
+    InvariantViolation,
+    consumption_graph,
     proportional_share,
     utilities,
     utility,
@@ -26,6 +28,7 @@ from fairdiv.verify import (
     pareto_dominates,
     pareto_improvement_exists,
     propx,
+    recheck_welfare_weights,
     weighted_prop,
     weighted_prop1,
 )
@@ -45,6 +48,7 @@ from helpers import (
     oracle_total_value,
     oracle_weighted_prop,
     oracle_weighted_prop1,
+    oracle_weights_certify,
     rand_instance,
 )
 
@@ -339,6 +343,15 @@ def test_enumeration_cap_is_enforced():
         list(enumerate_integral_allocations(inst, cap=63))
 
 
+def test_enumeration_is_lexicographic_and_checks_the_cap_first():
+    inst = Instance([[1] * 3] * 3)
+    got = [a.owners for a in enumerate_integral_allocations(inst)]
+    assert got == sorted(got) == list(itertools.product(range(3), repeat=3))
+    assert [a.owners for a in enumerate_integral_allocations(Instance([[], []]))] == [()]
+    with pytest.raises(EnumerationCapExceeded):
+        next(enumerate_integral_allocations(inst, cap=26))
+
+
 def test_fractional_improvement_implies_integral_test_is_weaker():
     rng = random.Random(404)
     fpo_seen = 0
@@ -375,23 +388,57 @@ def test_welfare_weights_certify_fractional_shares():
     assert weights is not None
 
 
+# Values over mixed denominators 1..4 from a short scale, so weighted
+# products tie often; a column is sometimes all zeros. Weights are ints or
+# Fractions, never normalized. Half the allocations hand each item to all or
+# some of its weighted maximizers, so the replay is meant to hold; the rest
+# are random shares.
+@st.composite
+def _weights_case(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    values = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
+    cols = [[F(0)] * n if draw(st.integers(0, 4)) == 0 else draw(st.lists(values, min_size=n,
+                                                                           max_size=n))
+            for _ in range(m)]
+    inst = Instance([[col[i] for col in cols] for i in range(n)])
+    weight = st.integers(1, 6) | st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+    weights = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+    parts = []
+    for col in cols:
+        if draw(st.booleans()):
+            scores = [weights[i] * col[i] for i in range(n)]
+            top = [i for i in range(n) if scores[i] == max(scores)]
+            part = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+            part = [p if i in top else 0 for i, p in enumerate(part)]
+            if not any(part):
+                part[top[0]] = 1
+        else:
+            part = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+        parts.append(part)
+    alloc = FractionalAllocation(tuple(tuple(Fraction(p[i], sum(p)) for p in parts)
+                                       for i in range(n)))
+    return inst, alloc, weights
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_weights_case())
+def test_integer_weight_replay_agrees_with_the_fraction_oracle(case):
+    inst, alloc, weights = case
+    certified = oracle_weights_certify(inst, alloc, weights)
+    try:
+        recheck_welfare_weights(inst, consumption_graph(alloc), weights)
+    except InvariantViolation:
+        assert not certified
+    else:
+        assert certified
+
+
 # ---------------------------------------------------------------------------
 # the exact fPO decision against both LP formulations it replaced
 
 
 def _halves(n, m):
     return FractionalAllocation(((F(1, 2),) * m,) * n)
-
-
-def _weights_certify(inst, alloc, weights) -> bool:
-    """Every consumer of every item maximizes weights[j] * u_j(o)."""
-    alloc = alloc.to_fractional() if isinstance(alloc, IntegralAllocation) else alloc
-    for o in inst.items:
-        best = max(weights[j] * inst.value(j, o) for j in inst.agents)
-        for i in inst.agents:
-            if alloc.fractions[i][o] and weights[i] * inst.value(i, o) != best:
-                return False
-    return True
 
 
 def _assert_fpo_decisions_agree(inst, alloc):
@@ -403,8 +450,8 @@ def _assert_fpo_decisions_agree(inst, alloc):
     assert (lp_weights is not None) is fpo
     if fpo:
         assert min(weights) == 1
-        assert _weights_certify(inst, alloc, weights)
-        assert _weights_certify(inst, alloc, lp_weights)
+        assert oracle_weights_certify(inst, alloc, weights)
+        assert oracle_weights_certify(inst, alloc, lp_weights)
     return fpo
 
 
