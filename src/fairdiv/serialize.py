@@ -22,6 +22,10 @@ from fairdiv.verify import AgentWitness, PropertyReport
 MAX_RATIONAL_CHARS = 1000
 MAX_DECIMAL_EXPONENT = 1000
 _INT_LIMIT = 10 ** MAX_RATIONAL_CHARS
+# A utilities matrix with fewer entries is read entry by entry: a table's
+# set-up would cost more than the repeated reads it saves.
+_TABLE_MIN_ENTRIES = 40
+_TABLE_TYPES = {int, str}
 # Fraction's string grammar as of Python 3.10. Later versions accept more
 # (underscores between digits from 3.11, spaces around "/" from 3.12), so
 # strings are held to this one first and read the same on every version.
@@ -90,39 +94,55 @@ def _ratio(value) -> tuple:
     return f.numerator, f.denominator
 
 
-def _integer_row(row: list, memo: dict) -> tuple:
-    """The agent row ``(d, N)`` that ``integer_row`` builds from
-    ``[_ratio(v) for v in row]``.
+def _table_rows(utilities: list, num_items: int):
+    """The agent rows ``(d, N)`` that ``integer_row`` builds from
+    ``[_ratio(v) for v in row]``, read through one table of the document's
+    distinct values, or None when the matrix does not suit a table.
 
-    A row that repeats itself, at least two entries per distinct value as
-    in valuation tables drawn from a small scale, and holds only JSON
-    integers and strings is read through a table: each distinct value is
-    read once, through ``memo``, which maps the values read so far in this
-    document to their pairs, and is scaled once, and ``N`` maps the row
-    through the scaled values, so it holds one int object per distinct
-    value. A bool, which hashes like an int, never reaches the table or
-    ``memo``. Any other row is read entry by entry, as is a table row when
-    one of its values fails to read, so an error always names the row's
-    first bad entry."""
+    It suits one when it has at least _TABLE_MIN_ENTRIES entries, all JSON
+    integers and strings, and repeats itself: every leading block of rows
+    holds at least two entries per distinct value, as valuation tables
+    drawn from a small scale do. Each distinct value is then read once and
+    scaled once to the lcm ``D`` of all the document's denominators, and
+    each row is mapped through the scaled values, so it holds one int
+    object per distinct value. Row i's own lcm ``d_i`` divides ``D``, and
+    its canonical row has ``gcd(d_i, *N_i) == 1``, so the mapped row is
+    ``N_i`` times ``g = gcd(D, *mapped) = D // d_i``.
+
+    None also when a row is ragged or not a list, or a value fails to read:
+    the caller then reads entry by entry, and its error names the first bad
+    row or entry. A bool is refused here because it would hide in a set
+    among equal ints, since True == 1. None, too, when ``D`` has more than
+    MAX_RATIONAL_CHARS digits: rows read apart keep their own smaller
+    denominators, where the table would hold every value scaled to ``D``.
+    """
+    if len(utilities) * num_items < _TABLE_MIN_ENTRIES:
+        return None
+    distinct = set()
+    for k, row in enumerate(utilities, 1):
+        if (not isinstance(row, list) or len(row) != num_items
+                or not set(map(type, row)) <= _TABLE_TYPES):
+            return None
+        distinct.update(row)
+        if 2 * len(distinct) > k * num_items:
+            return None
     try:
-        distinct = set(row)
-    except TypeError:  # a list or object among the entries
-        distinct = row
-    if 2 * len(distinct) <= len(row) and set(map(type, row)) <= {int, str}:
-        pairs = {}
-        try:
-            for v in distinct:
-                pair = memo.get(v)
-                if pair is None:
-                    pair = memo[v] = _ratio(v)
-                pairs[v] = pair
-        except ValueError:
-            pass  # read again below, in row order
-        else:
-            d = lcm(*{q for _, q in pairs.values()})
-            scaled = {v: p * (d // q) for v, (p, q) in pairs.items()}
-            return d, tuple(map(scaled.__getitem__, row))
-    return integer_row([_ratio(v) for v in row])
+        pairs = {v: _ratio(v) for v in distinct}
+    except ValueError:
+        return None
+    lcd = lcm(*{q for _, q in pairs.values()})
+    if lcd >= _INT_LIMIT:
+        return None
+    scale = {v: p * (lcd // q) for v, (p, q) in pairs.items()}
+    rows = []
+    for row in utilities:
+        scaled = tuple(map(scale.__getitem__, row))
+        g = gcd(lcd, *scaled) if lcd > 1 else 1
+        if g > 1:
+            reduced = {v: scale[v] // g for v in set(row)}
+            scaled = tuple(map(reduced.__getitem__, row))
+        rows.append((lcd // g, scaled))
+    return rows
 
 
 def format_rational(value: Fraction) -> str:
@@ -168,13 +188,13 @@ def parse_instance(doc) -> tuple:
     utilities = doc["utilities"]
     if not isinstance(utilities, list) or len(utilities) != len(agent_ids):
         raise ValueError("utilities must hold one row per agent")
-    rows = []
-    memo = {}  # JSON integer or string -> (p, q), for this document only
-    for row in utilities:
-        if not isinstance(row, list) or len(row) != len(item_ids):
-            raise ValueError("every utility row must hold one entry per item")
-        rows.append(_integer_row(row, memo))
-
+    rows = _table_rows(utilities, len(item_ids))
+    if rows is None:
+        rows = []
+        for row in utilities:
+            if not isinstance(row, list) or len(row) != len(item_ids):
+                raise ValueError("every utility row must hold one entry per item")
+            rows.append(integer_row([_ratio(v) for v in row]))
     instance = Instance.from_integer_rows(rows, tuple(weights) if all(weighted) else None)
     return instance, tuple(agent_ids), tuple(item_ids)
 

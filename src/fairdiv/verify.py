@@ -6,14 +6,15 @@ property, together with the exact bundle value, threshold and adjusted
 value, so a reader can replay the defining inequality without re-running
 the checker.
 
-Pareto optimality of integral allocations is decided by exhaustive search
-over all n**m owner assignments (with a cap). An allocation is fractionally
-Pareto optimal iff some positive welfare weights make every consumer of
-every item a maximizer of its weighted value (Sandomirskiy & Segal-Halevi,
-arXiv 1908.01669). ``find_welfare_weights`` decides that exactly, with no
-LP: it returns such weights, or None as a proof that none exist.
-``recheck_welfare_weights`` replays weights in O(nm); the pipeline
-certifies its own output that way, with its improvement LP's duals.
+An allocation is fractionally Pareto optimal (fPO) iff some positive
+welfare weights make every consumer of every item a maximizer of its
+weighted value (Sandomirskiy & Segal-Halevi, arXiv 1908.01669).
+``find_welfare_weights`` decides that exactly, with no LP: it returns such
+weights, or None as a proof that none exist. ``recheck_welfare_weights``
+replays weights in O(nm); the pipeline certifies its own output that way,
+with its improvement LP's duals. Pareto optimality of an integral
+allocation is answered by those weights when it is fPO, and otherwise by
+exhaustive search over all n**m owner assignments (with a cap).
 """
 
 from __future__ import annotations
@@ -217,16 +218,38 @@ def enumerate_integral_allocations(instance: Instance,
 
 def is_pareto_optimal_integral(instance: Instance, allocation: IntegralAllocation,
                                cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """Exhaustively decide whether any integral allocation Pareto-dominates
-    this one.
+    """Decide whether any integral allocation Pareto-dominates this one.
+
+    Raises EnumerationCapExceeded when n**m > cap, whatever the answer. An
+    fPO allocation is PO, so welfare weights from ``find_welfare_weights``,
+    replayed before they are returned, answer True. Deciding PO is
+    coNP-complete (de Keijzer et al., ADT 2009), so only an allocation
+    that is not fPO is searched exhaustively; a dominating allocation the
+    search finds is replayed with ``pareto_dominates`` before the answer is
+    False.
+    """
+    _require_integral(allocation)
+    check_cap(instance, cap)
+    if find_welfare_weights(instance, allocation) is not None:
+        return True
+    better = _dominating_allocation(instance, allocation)
+    if better is None:
+        return True
+    if not pareto_dominates(instance, better, allocation):
+        raise InvariantViolation("the Pareto search's dominating allocation fails its replay")
+    return False
+
+
+def _dominating_allocation(instance: Instance,
+                           allocation: IntegralAllocation) -> Optional[IntegralAllocation]:
+    """The first integral allocation, in lexicographic owner order, that
+    Pareto-dominates ``allocation``, or None when none does.
 
     The search walks the owner tree in scaled integer arithmetic, pruning a
     branch as soon as some agent cannot reach its current utility even when
     granted every remaining positive item; the bound is sound, so the scan
-    remains exhaustive. Raises EnumerationCapExceeded when n**m > cap.
+    remains exhaustive.
     """
-    _require_integral(allocation)
-    check_cap(instance, cap)
     n, m = instance.num_agents, instance.num_items
     scaled = [row for _, row in instance.integer_rows]
     target = [0] * n
@@ -260,12 +283,12 @@ def is_pareto_optimal_integral(instance: Instance, allocation: IntegralAllocatio
                 o += 1
                 continue
             if any(sums[i] > target[i] for i in agents):
-                return False
+                return IntegralAllocation(n, path)
         # dead end: step to the next owner of the deepest item that has one
         while True:
             o -= 1
             if o < 0:
-                return True
+                return None
             a = path[o]
             sums[a] -= scaled[a][o]
             if a + 1 < n:
@@ -298,25 +321,32 @@ def find_welfare_weights(instance: Instance, allocation: Allocation) -> Optional
     """
     _check_shape(instance, allocation)
     graph = consumption_graph(allocation)
-    rows = instance.integer_rows
-    tightest = {}  # (a, b) -> least u_a(o) / u_b(o) over the bounds on lambda_b
-    for o, consumers in enumerate(graph.item_agents):
+    d = [d for d, _ in instance.integer_rows]
+    # (a, b) -> (p, q), p, q > 0: the least u_a(o) / u_b(o) = p / q over the
+    # bounds on lambda_b, compared by cross-multiplication
+    tightest = {}
+    for column, consumers in zip(zip(*(row for _, row in instance.integer_rows)),
+                                 graph.item_agents):
         for i in consumers:
-            ui = rows[i][1][o]
-            for j in instance.agents:
-                uj = rows[j][1][o]
+            ui = column[i]
+            for j, uj in enumerate(column):
                 if j == i or ui >= 0 >= uj:
                     continue
                 if ui <= 0 <= uj:
                     return None
-                a, b = (i, j) if ui > 0 else (j, i)
-                r = Fraction(rows[a][1][o] * rows[b][0], rows[b][1][o] * rows[a][0])
-                tightest[a, b] = min(r, tightest.get((a, b), r))
+                if ui > 0:
+                    key, p, q = (i, j), ui * d[j], uj * d[i]
+                else:
+                    key, p, q = (j, i), -uj * d[i], -ui * d[j]
+                old = tightest.get(key)
+                if old is None or p * old[1] < old[0] * q:
+                    tightest[key] = p, q
 
+    ratios = {key: Fraction(p, q) for key, (p, q) in tightest.items()}
     weights = [Fraction(1)] * instance.num_agents
     for _ in instance.agents:
         settled = True
-        for (a, b), r in tightest.items():
+        for (a, b), r in ratios.items():
             if weights[b] > r * weights[a]:
                 weights[b], settled = r * weights[a], False
         if settled:

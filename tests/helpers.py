@@ -481,6 +481,16 @@ def oracle_pareto_dominates(instance: Instance, better: IntegralAllocation,
     return all(x >= y for x, y in zip(a, b)) and a != b
 
 
+def oracle_is_pareto_optimal(instance: Instance, allocation: IntegralAllocation) -> bool:
+    """The naive product scan: no owner assignment of all n**m gives every
+    agent at least its bundle value and some agent more."""
+    for owners in itertools.product(instance.agents, repeat=instance.num_items):
+        if oracle_pareto_dominates(instance, IntegralAllocation(instance.num_agents, owners),
+                                   allocation):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # LP oracles for fractional Pareto optimality
 #

@@ -1,9 +1,9 @@
 """parse_instance against parse_rational: it reads utilities straight into
 integer rows, and must give the instance, and the errors, that reading each
-value with parse_rational and building ``Instance`` from them gives. Rows
-that repeat their values and hold only JSON integers and strings are read
-through a table of their distinct values, each read once per document; the
-tests below hold that path to the same answers and errors."""
+value with parse_rational and building ``Instance`` from them gives. A
+matrix that repeats its values and holds only JSON integers and strings is
+read through one table of the document's distinct values, each read once;
+the tests below hold that path to the same answers and errors."""
 
 import json
 import random
@@ -238,3 +238,112 @@ def test_plain_strings_are_read_without_parse_rational(text):
     assert got == expected
     plain = _PLAIN.fullmatch(text)
     assert slow.called == (not plain or plain[1] is not None and int(plain[1][1:]) == 0)
+
+
+# ---------------------------------------------------------------------------
+# the document-wide table: each test's documents take it, or would but for
+# the one bad entry the test puts in
+
+
+def _takes_table(doc) -> bool:
+    """Whether parse_instance reads ``doc`` through the table; any error it
+    raises propagates."""
+    real = serialize._table_rows
+    results = []
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    with mock.patch.object(serialize, "_table_rows", spy):
+        parse_instance(doc)
+    return results not in ([], [None])
+
+
+def _doc(utilities, weights=None):
+    return {"agents": [{"id": f"a{i}", **({"weight": weights[i]} if weights else {})}
+                       for i in range(len(utilities))],
+            "items": [f"o{j}" for j in range(len(utilities[0]))], "utilities": utilities}
+
+
+# large enough that CPython caches none of them, so a shared int is visible
+_BIG = 10 ** 9
+
+
+def test_table_reduces_each_row_to_its_own_denominator():
+    # the document's lcm is 12; the all-integer row must come out over 1
+    # and the row of halves over 2, each with gcd(d, *N) == 1
+    ints = [_BIG, str(_BIG), -3, "-3", 0, "0", str(-_BIG), -_BIG] * 3
+    twelfths = [f"{_BIG}/12", "-5/12", "1/3", 4, "4", "1/2", "-7/6", -_BIG] * 3
+    halves = [f"{_BIG + 1}/2", "1/2", -3, "-3", str(_BIG), "2/4", "0", 0] * 3
+    utilities = [ints, twelfths, halves, ints]
+    doc = _doc(utilities)
+    assert _takes_table(doc)
+    instance, _, _ = parse_instance(doc)
+    assert [d for d, _ in instance.integer_rows] == [1, 12, 2, 1]
+    assert instance.integer_rows == _instance_of_parse_rational(utilities).integer_rows
+    for row, (_, scaled) in zip(utilities, instance.integer_rows):
+        assert len({id(v) for v in scaled}) <= len(set(row))
+
+
+@pytest.mark.parametrize("hidden,among", [(True, 1), (False, 0)], ids=["true", "false"])
+@pytest.mark.parametrize("at", [(1, 0), (2, 13), (2, 23)])
+def test_table_rejects_a_bool_hidden_among_equal_ints(hidden, among, at):
+    # True == 1 and False == 0, so a set of the values would keep only one
+    # of each pair; the bool must be refused as parse_rational refuses it
+    row = [among, str(among), "1/2", -4, "-4", f"{_BIG}/3"] * 4
+    utilities = [list(row) for _ in range(3)]
+    assert _takes_table(_doc(utilities))
+    utilities[at[0]][at[1]] = hidden
+    with pytest.raises(ValueError) as expected:
+        parse_rational(hidden)
+    with pytest.raises(ValueError) as got:
+        parse_instance(_doc(utilities))
+    assert str(got.value) == str(expected.value)
+
+
+def test_table_reports_a_bad_entry_before_a_later_ragged_row():
+    row = [7, "7", "7/3", -1, "-1", "0"] * 8
+    assert _takes_table(_doc([row, row]))
+    bad = list(row)
+    bad[29] = "1/0"
+    with pytest.raises(ValueError, match=re.escape("cannot parse rational '1/0'")):
+        parse_instance(_doc([bad, row[:-1]]))
+    with pytest.raises(ValueError, match="one entry per item"):
+        parse_instance(_doc([row, row[:-1]]))
+
+
+def test_table_is_skipped_when_the_document_lcm_is_too_long():
+    # each row repeats values over its own 401-digit denominator; the three
+    # are coprime, so their lcm has more than MAX_RATIONAL_CHARS digits,
+    # while each row read apart keeps its own
+    utilities = [[f"{k % 5 - 2}/{10 ** 400 + c}" for k in range(20)] for c in (1, 3, 7)]
+    assert serialize._table_rows(utilities, 20) is None
+    assert serialize._table_rows(utilities[:2], 20) is not None
+    instance, _, _ = parse_instance(_doc(utilities))
+    assert instance.integer_rows == _instance_of_parse_rational(utilities).integer_rows
+    assert [d for d, _ in instance.integer_rows] == [10 ** 400 + c for c in (1, 3, 7)]
+
+
+_pool = st.sampled_from([1, "1", "1/1", "2/2", -3, "-3", "-6/2", 0, "-0",
+                         "5/12", "10/24", "1/2", str(_BIG), _BIG, f"{_BIG}/7", "3/4"])
+
+
+@st.composite
+def _table_documents(draw):
+    """2-4 rows of 20-30 entries in which every value appears at least twice,
+    JSON integers, integer strings and p/q mixed; weighted or not."""
+    n, half = draw(st.integers(2, 4)), draw(st.integers(10, 15))
+    utilities = []
+    for _ in range(n):
+        row = draw(st.lists(_pool, min_size=half, max_size=half)) * 2
+        utilities.append(draw(st.permutations(row)))
+    weights = draw(st.none() | st.lists(_weight, min_size=n, max_size=n))
+    return _doc(utilities, weights)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_table_documents())
+def test_table_matches_instance_of_parse_rational(doc):
+    assert _takes_table(doc)
+    _check_against_parse_rational(doc)

@@ -1,11 +1,14 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairdiv import verify
 from fairdiv.core import (
     EnumerationCapExceeded,
     FractionalAllocation,
@@ -14,7 +17,6 @@ from fairdiv.core import (
     InvariantViolation,
     consumption_graph,
     proportional_share,
-    utilities,
     utility,
 )
 from fairdiv.verify import (
@@ -43,6 +45,7 @@ from helpers import (
     identical_items_instance,
     lp_find_welfare_weights,
     lp_pareto_improvement_exists,
+    oracle_is_pareto_optimal,
     oracle_pareto_dominates,
     oracle_propx,
     oracle_total_value,
@@ -319,20 +322,101 @@ def test_goods_blocks_x_admits_a_fractional_improvement():
 
 
 def test_pareto_scan_agrees_with_naive_product_scan():
-    def naive_po(inst, alloc):
-        base = utilities(inst, alloc)
-        for owners in itertools.product(range(inst.num_agents), repeat=inst.num_items):
-            cand = utilities(inst, IntegralAllocation(inst.num_agents, owners))
-            if all(c >= b for c, b in zip(cand, base)) and any(c > b for c, b in zip(cand, base)):
-                return False
-        return True
-
     rng = random.Random(303)
     for _ in range(60):
         n, m = rng.randint(1, 3), rng.randint(0, 4)
         inst = rand_instance(rng, n, m)
         alloc = rand_integral(rng, n, m)
-        assert is_pareto_optimal_integral(inst, alloc) == naive_po(inst, alloc)
+        assert is_pareto_optimal_integral(inst, alloc) == oracle_is_pareto_optimal(inst, alloc)
+
+
+@st.composite
+def _po_case(draw):
+    """1-3 agents and 0-6 items with values -3..3 over denominators 1..3,
+    goods, chores and zeros mixed, some items worth 0 to everyone; owners
+    drawn at random, so allocations that are fPO, PO but not fPO, and not
+    PO all occur."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    values = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=n, max_size=n))
+    for o in draw(st.lists(st.integers(0, m - 1), max_size=2)) if m else ():
+        for row in rows:
+            row[o] = F(0)
+    owners = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    return Instance(rows), IntegralAllocation(n, tuple(owners))
+
+
+def test_po_agrees_with_the_naive_scan_on_every_branch():
+    """fPO answers True with no search; otherwise the search decides, and
+    every False comes with a dominating allocation that was replayed and
+    that the oracle confirms."""
+    branches = collections.Counter()
+    real_search = verify._dominating_allocation
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_po_case())
+    # PO, not fPO: agent 1 keeps the good agent 0 values more, and the chore
+    # that both value at -1, so no weights make it a maximizer of both
+    @example((Instance([[3, -1], [2, -1]]), IntegralAllocation(2, (1, 1))))
+    def check(case):
+        inst, alloc = case
+        found = []
+
+        def search(*args):
+            found.append(real_search(*args))
+            return found[-1]
+
+        with mock.patch.object(verify, "_dominating_allocation", search), \
+                mock.patch.object(verify, "pareto_dominates",
+                                  wraps=verify.pareto_dominates) as replay:
+            got = is_pareto_optimal_integral(inst, alloc)
+        assert got == oracle_is_pareto_optimal(inst, alloc)
+        if not found:
+            assert got and find_welfare_weights(inst, alloc) is not None
+            branches["fPO"] += 1
+            return
+        assert find_welfare_weights(inst, alloc) is None
+        [better] = found
+        if better is None:
+            assert got and not replay.called
+            branches["PO, not fPO"] += 1
+            return
+        assert not got
+        replay.assert_called_once_with(inst, better, alloc)
+        assert oracle_pareto_dominates(inst, better, alloc)
+        branches["not PO"] += 1
+
+    check()
+    assert set(branches) == {"fPO", "PO, not fPO", "not PO"}, branches
+
+
+def test_po_never_searches_an_fpo_allocation(monkeypatch):
+    # weighted-argmax allocations are fPO, whatever their size: the
+    # exhaustive search must not start, even where it could not finish
+    def no_search(*args):
+        raise AssertionError("searched an fPO allocation")
+
+    monkeypatch.setattr(verify, "_dominating_allocation", no_search)
+    rng = random.Random(11)
+    for n, m in [(1, 0), (2, 5), (3, 12), (4, 40), (1, 1500)]:
+        inst = rand_instance(rng, n, m)
+        lam = [rng.randint(1, 5) for _ in range(n)]
+        owners = tuple(max(inst.agents, key=lambda i: lam[i] * inst.value(i, o))
+                       for o in inst.items)
+        alloc = IntegralAllocation(n, owners)
+        assert is_pareto_optimal_integral(inst, alloc, cap=n ** m)
+    with pytest.raises(AssertionError, match="searched"):
+        is_pareto_optimal_integral(Instance([[1, 0], [0, 1]]), IntegralAllocation(2, (1, 0)))
+
+
+def test_po_replays_the_refutation_it_returns(monkeypatch):
+    # a search that reports an allocation which does not dominate (here
+    # the allocation itself) must fail the replay, not answer False
+    inst, alloc = Instance([[1, 0], [0, 1]]), IntegralAllocation(2, (1, 0))
+    assert not is_pareto_optimal_integral(inst, alloc)
+    monkeypatch.setattr(verify, "_dominating_allocation", lambda instance, allocation: allocation)
+    with pytest.raises(InvariantViolation, match="fails its replay"):
+        is_pareto_optimal_integral(inst, alloc)
 
 
 def test_enumeration_cap_is_enforced():
@@ -353,15 +437,19 @@ def test_enumeration_is_lexicographic_and_checks_the_cap_first():
 
 
 def test_fractional_improvement_implies_integral_test_is_weaker():
+    # fPO implies PO: every allocation the fPO test passes survives the
+    # naive scan
     rng = random.Random(404)
     fpo_seen = 0
     for _ in range(60):
         n, m = rng.randint(1, 3), rng.randint(1, 5)
         inst = rand_instance(rng, n, m)
         alloc = rand_integral(rng, n, m)
+        po = oracle_is_pareto_optimal(inst, alloc)
+        assert is_pareto_optimal_integral(inst, alloc) == po
         if not pareto_improvement_exists(inst, alloc):
             fpo_seen += 1
-            assert is_pareto_optimal_integral(inst, alloc)
+            assert po
     assert fpo_seen > 0
 
 
