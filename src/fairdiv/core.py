@@ -2,10 +2,11 @@
 
 Every quantity is an exact rational, so that equality tests (LP optima,
 Pareto comparisons, share thresholds) are decidable. An instance stores
-each agent's utilities as one integer row over a common denominator, and
-builds the ``fractions.Fraction`` matrix only when the LP or the output
-asks for it; weights and allocations are ``Fraction``s. Nothing in this
-package touches floating point.
+each agent's utilities as one integer row over a common denominator and
+keeps no ``fractions.Fraction`` matrix: sums and comparisons run on the
+rows, and a single value becomes a ``Fraction`` only as an LP coefficient
+or when printed. Weights and allocations are ``Fraction``s. Nothing in
+this package touches floating point.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Union
 
 
 class FairDivisionError(Exception):
@@ -64,25 +64,24 @@ class Instance:
     lcm of the denominators of the row's values, ``N`` a tuple of ints.
     Positive entries are goods for that agent, negative entries chores.
     Comparisons within one agent's row are invariant under that positive
-    scaling, so sums and item choices run on integers. ``utilities[i][o]``
-    gives the same values as ``Fraction``s; it is built on first use and
-    kept. Weights are entitlements; they are normalized to sum to 1 at
-    construction, so only their proportions matter.
+    scaling, so sums and item choices run on integers, and a value is
+    ``Fraction(N[o], d)`` wherever one is needed. Weights are entitlements;
+    they are normalized to sum to 1 at construction, so only their
+    proportions matter.
 
-    ``Instance(utilities, weights)`` takes ints and ``Fraction``s and keeps
-    the ``Fraction``s it is given as ``utilities``;
-    ``Instance.from_integer_rows`` takes the rows themselves. Equality and
-    hashing use ``(integer_rows, weights)``, which is canonical.
+    ``Instance(utilities, weights)`` takes a matrix of ints and
+    ``Fraction``s and keeps only its rows; ``Instance.from_integer_rows``
+    takes the rows themselves. Equality and hashing use
+    ``(integer_rows, weights)``, which is canonical.
     """
 
     integer_rows: tuple
     weights: tuple
 
     def __init__(self, utilities, weights=None):
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in utilities)
-        self._set_rows(tuple(integer_row([(v.numerator, v.denominator) for v in row])
-                             for row in rows), weights)
-        self.__dict__["utilities"] = rows
+        rows = tuple(integer_row([(v.numerator, v.denominator) for v in map(as_fraction, row)])
+                     for row in utilities)
+        self._set_rows(rows, weights)
 
     @classmethod
     def from_integer_rows(cls, rows, weights=None) -> "Instance":
@@ -115,10 +114,6 @@ class Instance:
         object.__setattr__(self, "integer_rows", rows)
         object.__setattr__(self, "weights", w)
 
-    @cached_property
-    def utilities(self) -> tuple:
-        return tuple(tuple(Fraction(v, d) for v in row) for d, row in self.integer_rows)
-
     @property
     def num_agents(self) -> int:
         return len(self.integer_rows)
@@ -134,9 +129,6 @@ class Instance:
     @property
     def items(self) -> range:
         return range(self.num_items)
-
-    def value(self, agent: int, item: int) -> Fraction:
-        return self.utilities[agent][item]
 
     def total_value(self, agent: int) -> Fraction:
         """Agent's value for the whole item set O."""
@@ -278,24 +270,22 @@ def _mixed_sign_item(instance: Instance, graph: ConsumptionGraph) -> Optional[in
 
 def utility(instance: Instance, allocation: Allocation, agent: int) -> Fraction:
     """Agent's additive utility for its (possibly fractional) bundle."""
-    if isinstance(allocation, IntegralAllocation):
-        return utilities(instance, allocation)[agent]
-    _check_shape(instance, allocation)
-    row = instance.utilities[agent]
-    frac = allocation.fractions[agent]
-    return sum((row[o] * frac[o] for o in instance.items if frac[o]), Fraction(0))
+    return utilities(instance, allocation)[agent]
 
 
 def utilities(instance: Instance, allocation: Allocation) -> tuple:
-    """Utility profile of all agents under the allocation. An integral one
-    is summed on the integer rows in one pass over its owners."""
-    if not isinstance(allocation, IntegralAllocation):
-        return tuple(utility(instance, allocation, i) for i in instance.agents)
+    """Utility profile of all agents under the allocation, summed on the
+    integer rows: ``N_i[o]`` over an integral allocation's owners, or
+    ``N_i[o] * x_io`` over a fractional one's support, then over ``d_i``."""
     _check_shape(instance, allocation)
     rows = [row for _, row in instance.integer_rows]
-    sums = [0] * instance.num_agents
-    for o, a in enumerate(allocation.owners):
-        sums[a] += rows[a][o]
+    if isinstance(allocation, IntegralAllocation):
+        sums = [0] * instance.num_agents
+        for o, a in enumerate(allocation.owners):
+            sums[a] += rows[a][o]
+    else:
+        sums = [sum((row[o] * x for o, x in enumerate(frac) if x), Fraction(0))
+                for row, frac in zip(rows, allocation.fractions)]
     return tuple(Fraction(s, d) for s, (d, _) in zip(sums, instance.integer_rows))
 
 

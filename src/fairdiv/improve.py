@@ -27,7 +27,7 @@ from fairdiv.core import (
     _mixed_sign_item,
     consumption_graph,
     find_cycle,
-    utility,
+    utilities,
 )
 from fairdiv.lp import OPTIMAL, LpProblem, LpSolution, solve
 
@@ -42,23 +42,18 @@ def proportional_seed(instance: Instance) -> FractionalAllocation:
 def dominance_welfare_lp(instance: Instance, baseline: FractionalAllocation) -> LpProblem:
     """LP over allocations: max total welfare s.t. nobody falls below their
     baseline utility and items are fully allocated. Variables are x[i][o]
-    flattened to index i*m + o."""
+    flattened to index i*m + o; coefficient ``u_i(o)`` is
+    ``Fraction(N_i[o], d_i)`` from the integer rows."""
     n, m = instance.num_agents, instance.num_items
     num_vars = n * m
     zero = Fraction(0)
-    objective = [zero] * num_vars
-    for i in range(n):
-        row = instance.utilities[i]
-        for o in range(m):
-            objective[i * m + o] = row[o]
+    objective = [Fraction(v, d) for d, row in instance.integer_rows for v in row]
 
     constraints = []
-    for i in range(n):
+    for i, floor in enumerate(utilities(instance, baseline)):
         coeffs = [zero] * num_vars
-        row = instance.utilities[i]
-        for o in range(m):
-            coeffs[i * m + o] = row[o]
-        constraints.append((tuple(coeffs), ">=", utility(instance, baseline, i)))
+        coeffs[i * m:(i + 1) * m] = objective[i * m:(i + 1) * m]
+        constraints.append((tuple(coeffs), ">=", floor))
     for o in range(m):
         coeffs = [zero] * num_vars
         for i in range(n):

@@ -52,10 +52,10 @@ from fairdiv.verify import (  # noqa: F401
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Evidence attached to a pipeline result."""
+    """Evidence attached to a pipeline result. ``welfare_weights`` certify
+    fPO; ``allocate`` raises rather than return an uncertified result."""
 
     prop1: PropertyReport
-    fpo_certified: bool
     welfare_weights: tuple
 
 
@@ -139,5 +139,5 @@ def allocate(instance: Instance) -> PipelineResult:
     prop1 = weighted_prop1(instance, integral)
     if not prop1.holds:
         raise InvariantViolation("pipeline output violates weighted PROP1")
-    report = CertificateReport(prop1=prop1, fpo_certified=True, welfare_weights=weights)
+    report = CertificateReport(prop1=prop1, welfare_weights=weights)
     return PipelineResult(integral=integral, fractional=improved, report=report)

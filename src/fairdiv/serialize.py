@@ -207,7 +207,8 @@ def print_instance(instance: Instance, agent_ids, item_ids) -> dict:
             for a, w in zip(agent_ids, instance.weights)
         ],
         "items": list(item_ids),
-        "utilities": [[format_rational(v) for v in row] for row in instance.utilities],
+        "utilities": [[format_rational(Fraction(v, d)) for v in row]
+                      for d, row in instance.integer_rows],
     }
 
 

@@ -25,6 +25,12 @@ from fairdiv.verify import ADD_ITEM, MEETS_BOUND, REMOVE_ITEM, AgentWitness, Pro
 F = Fraction
 
 
+def fraction_matrix(instance: Instance) -> tuple:
+    """The utility matrix as ``Fraction``s: ``u_i(o) = N_i[o] / d_i`` read
+    off each integer row ``(d_i, N_i)``."""
+    return tuple(tuple(Fraction(v, d) for v in row) for d, row in instance.integer_rows)
+
+
 # ---------------------------------------------------------------------------
 # canonical instances
 #
@@ -252,10 +258,11 @@ def oracle_round(instance: Instance, allocation: FractionalAllocation) -> tuple:
                             depth[b] = depth[a] + 1
                             following.append(b)
             frontier = following
+    u = fraction_matrix(instance)
     owners = [c[0] for c in consumers]
     for o in shared:
         nearest = min(consumers[o], key=lambda a: depth[a])
-        if instance.value(nearest, o) > 0:
+        if u[nearest][o] > 0:
             owners[o] = nearest
         else:
             owners[o] = min(a for a in consumers[o] if a != nearest)
@@ -383,19 +390,18 @@ def is_vertex(problem, point) -> bool:
 
 
 def oracle_total_value(instance: Instance, agent: int) -> Fraction:
-    return sum(instance.utilities[agent], Fraction(0))
+    return sum(fraction_matrix(instance)[agent], Fraction(0))
 
 
-def _oracle_bundle_value(instance: Instance, owners, agent: int) -> Fraction:
-    row = instance.utilities[agent]
+def _oracle_bundle_value(row, owners, agent: int) -> Fraction:
     return sum((row[o] for o, a in enumerate(owners) if a == agent), Fraction(0))
 
 
 def oracle_weighted_prop(instance: Instance, allocation: IntegralAllocation):
     witnesses = []
-    for i in instance.agents:
-        value = _oracle_bundle_value(instance, allocation.owners, i)
-        bound = instance.weights[i] * oracle_total_value(instance, i)
+    for i, row in enumerate(fraction_matrix(instance)):
+        value = _oracle_bundle_value(row, allocation.owners, i)
+        bound = instance.weights[i] * sum(row, Fraction(0))
         ok = value >= bound
         witnesses.append(AgentWitness(i, ok, MEETS_BOUND if ok else None, None,
                                       value, bound, value))
@@ -404,11 +410,12 @@ def oracle_weighted_prop(instance: Instance, allocation: IntegralAllocation):
 
 
 def oracle_weighted_prop1(instance: Instance, allocation: IntegralAllocation):
+    u = fraction_matrix(instance)
     witnesses = []
     for i in instance.agents:
-        row = instance.utilities[i]
-        value = _oracle_bundle_value(instance, allocation.owners, i)
-        bound = instance.weights[i] * oracle_total_value(instance, i)
+        row = u[i]
+        value = _oracle_bundle_value(row, allocation.owners, i)
+        bound = instance.weights[i] * sum(row, Fraction(0))
         unowned = [o for o in instance.items if allocation.owners[o] != i]
         owned = [o for o in instance.items if allocation.owners[o] == i]
         best_add = max(unowned, key=lambda o: (row[o], -o)) if unowned else None
@@ -437,11 +444,12 @@ def oracle_weighted_prop1(instance: Instance, allocation: IntegralAllocation):
 
 def oracle_propx(instance: Instance, allocation: IntegralAllocation):
     n = instance.num_agents
+    u = fraction_matrix(instance)
     witnesses = []
     for i in instance.agents:
-        row = instance.utilities[i]
-        value = _oracle_bundle_value(instance, allocation.owners, i)
-        bound = oracle_total_value(instance, i) / n
+        row = u[i]
+        value = _oracle_bundle_value(row, allocation.owners, i)
+        bound = sum(row, Fraction(0)) / n
         adjustments = []
         for o in instance.items:
             if allocation.owners[o] == i and row[o] < 0:
@@ -466,18 +474,20 @@ def oracle_weights_certify(instance: Instance, allocation, weights) -> bool:
     The plain Fraction replay: no consumer may fall below the maximum."""
     if isinstance(allocation, IntegralAllocation):
         allocation = allocation.to_fractional()
+    u = fraction_matrix(instance)
     for o in instance.items:
-        best = max(weights[j] * instance.value(j, o) for j in instance.agents)
+        best = max(weights[j] * u[j][o] for j in instance.agents)
         for i in instance.agents:
-            if allocation.fractions[i][o] and weights[i] * instance.value(i, o) < best:
+            if allocation.fractions[i][o] and weights[i] * u[i][o] < best:
                 return False
     return True
 
 
 def oracle_pareto_dominates(instance: Instance, better: IntegralAllocation,
                             worse: IntegralAllocation) -> bool:
-    a = [_oracle_bundle_value(instance, better.owners, i) for i in instance.agents]
-    b = [_oracle_bundle_value(instance, worse.owners, i) for i in instance.agents]
+    u = fraction_matrix(instance)
+    a = [_oracle_bundle_value(u[i], better.owners, i) for i in instance.agents]
+    b = [_oracle_bundle_value(u[i], worse.owners, i) for i in instance.agents]
     return all(x >= y for x, y in zip(a, b)) and a != b
 
 
@@ -518,14 +528,15 @@ def lp_find_welfare_weights(instance: Instance, allocation):
     n = instance.num_agents
     if isinstance(allocation, IntegralAllocation):
         allocation = allocation.to_fractional()
+    u = fraction_matrix(instance)
     rows = set()
     for o in instance.items:
         for i in instance.agents:
             if not allocation.fractions[i][o]:
                 continue
-            ui = instance.value(i, o)
+            ui = u[i][o]
             for j in instance.agents:
-                uj = instance.value(j, o)
+                uj = u[j][o]
                 if j != i and not (ui >= 0 and uj <= 0):
                     rows.add((i, ui, j, uj))
     zero = Fraction(0)

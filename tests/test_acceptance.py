@@ -32,6 +32,7 @@ from helpers import (
     IDENTICAL_ITEMS_BALANCED,
     chores_blocks_instance,
     forest_fixture,
+    fraction_matrix,
     goods_blocks_instance,
     identical_items_instance,
     is_vertex,
@@ -74,8 +75,9 @@ def _maximizers_consume(inst, allocation, weights) -> bool:
     if isinstance(allocation, IntegralAllocation):
         allocation = allocation.to_fractional()
     rows = allocation.fractions
+    u = fraction_matrix(inst)
     for o in inst.items:
-        scores = [weights[j] * inst.utilities[j][o] for j in inst.agents]
+        scores = [weights[j] * u[j][o] for j in inst.agents]
         if any(rows[i][o] > 0 and scores[i] != max(scores) for i in inst.agents):
             return False
     return True

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairdiv import cli, lp, serialize
+from fairdiv import allocate, cli, lp, serialize, verify
 from fairdiv.cli import main
 from fairdiv.core import Instance, IntegralAllocation
 from fairdiv.serialize import (
@@ -21,7 +21,7 @@ from fairdiv.serialize import (
     print_allocation,
     print_instance,
 )
-from helpers import rand_instance
+from helpers import fraction_matrix
 from test_golden import GOLDEN, recorded
 from test_golden import run as run_golden
 
@@ -47,15 +47,36 @@ def run_cli(capsys, *argv):
 def test_instance_round_trip_random():
     rng = random.Random(11)
     for _ in range(20):
-        inst = rand_instance(rng, rng.randint(1, 4), rng.randint(0, 5),
-                             weight_mode="random")
+        n, m = rng.randint(1, 4), rng.randint(0, 5)
+        utilities = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)]
+                     for _ in range(n)]
+        weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+        inst = Instance(utilities, weights)
         agent_ids = tuple(f"agent-{i}" for i in inst.agents)
         item_ids = tuple(f"item-{o}" for o in inst.items)
         doc = print_instance(inst, agent_ids, item_ids)
+        assert doc["utilities"] == [[str(v) for v in row] for row in utilities]
+        assert [a["weight"] for a in doc["agents"]] == [str(w / sum(weights)) for w in weights]
         back, back_agents, back_items = parse_instance(json.loads(json.dumps(doc)))
         assert back == inst
         assert back_agents == agent_ids
         assert back_items == item_ids
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Instance([[F(1, 2), F(-2, 3), 3], [F(5, 4), 1, F(-1, 6)]], [F(2, 3), 1]),
+    lambda: parse_instance(json.loads(Path(fixture("chores_blocks")).read_text()))[0],
+], ids=["constructor", "parse_instance"])
+def test_instance_keeps_only_its_rows_and_weights(build):
+    inst = build()
+    agent_ids = tuple(f"a{i}" for i in inst.agents)
+    item_ids = tuple(f"o{o}" for o in inst.items)
+    integral = allocate(inst).integral
+    print_instance(inst, agent_ids, item_ids)
+    for check in (verify.weighted_prop, verify.weighted_prop1, verify.propx,
+                  verify.is_pareto_optimal_integral, verify.find_welfare_weights):
+        check(inst, integral)
+    assert vars(inst).keys() == {"integer_rows", "weights"}
 
 
 def test_allocation_round_trip_random():
@@ -540,11 +561,11 @@ def test_gen_respects_utility_range(capsys):
                            "--lo", "1", "--hi", "5", "--seed", "3")
     assert code == 0
     inst, _, _ = parse_instance(doc)
-    assert all(1 <= v <= 5 for row in inst.utilities for v in row)
+    assert all(1 <= v <= 5 for row in fraction_matrix(inst) for v in row)
     code, doc, _ = run_cli(capsys, "gen", "--agents", "2", "--items", "8",
                            "--lo", "-5", "--hi", "-1", "--seed", "3")
     inst, _, _ = parse_instance(doc)
-    assert all(-5 <= v <= -1 for row in inst.utilities for v in row)
+    assert all(-5 <= v <= -1 for row in fraction_matrix(inst) for v in row)
 
 
 def test_gen_random_weights_are_positive_and_normalized(capsys):

@@ -21,6 +21,7 @@ from fairdiv.improve import (
 from fairdiv.lp import OPTIMAL, LpProblem, LpSolution, solve
 from helpers import (
     chores_blocks_instance,
+    fraction_matrix,
     goods_blocks_instance,
     rand_instance,
     vertex_enumeration_optimum,
@@ -76,7 +77,8 @@ def _aggregated_blocks_lp(instance, blocks):
     """
     n = instance.num_agents
     k = len(blocks)
-    group_value = [[instance.value(i, block[0]) * len(block) for block in blocks]
+    u = fraction_matrix(instance)
+    group_value = [[u[i][block[0]] * len(block) for block in blocks]
                    for i in range(n)]
     num_vars = n * k
     zero = F(0)
@@ -140,16 +142,17 @@ def test_improve_postconditions_on_random_instances():
             assert utility(inst, x, i) >= proportional_share(inst, i)
         welfare = sum(utilities(inst, x), F(0))
         assert welfare == solve(dominance_welfare_lp(inst, seed)).value
+        u = fraction_matrix(inst)
         for o in graph.shared_items():
-            signs = {(inst.value(i, o) > 0) - (inst.value(i, o) < 0)
+            signs = {(u[i][o] > 0) - (u[i][o] < 0)
                      for i in graph.item_agents[o]}
             assert len(signs) == 1
         # the dual weights are >= 1 and every consumer maximizes lambda * u
         assert len(weights) == n and all(w >= 1 for w in weights)
         for o in inst.items:
-            best = max(weights[j] * inst.value(j, o) for j in inst.agents)
+            best = max(weights[j] * u[j][o] for j in inst.agents)
             for i in graph.item_agents[o]:
-                assert weights[i] * inst.value(i, o) == best
+                assert weights[i] * u[i][o] == best
 
 
 def test_improve_is_deterministic():

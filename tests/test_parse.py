@@ -19,6 +19,7 @@ from fairdiv import serialize
 from fairdiv.cli import main
 from fairdiv.core import Instance
 from fairdiv.serialize import MAX_RATIONAL_CHARS, _ratio, parse_instance, parse_rational
+from helpers import fraction_matrix
 
 _json_int = st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([0, 10 ** 40, -(10 ** 40)])
 _ratio_text = st.tuples(st.integers(-60, 60), st.integers(1, 60)).map(
@@ -49,11 +50,11 @@ def _documents(draw, values=_value, max_items=6):
 def _check_against_parse_rational(doc):
     weights = ([parse_rational(a["weight"]) for a in doc["agents"]]
                if "weight" in doc["agents"][0] else None)
-    expected = Instance([[parse_rational(v) for v in row] for row in doc["utilities"]],
-                        weights)
+    matrix = tuple(tuple(parse_rational(v) for v in row) for row in doc["utilities"])
+    expected = Instance(matrix, weights)
     got, _, _ = parse_instance(doc)
     assert got.integer_rows == expected.integer_rows
-    assert got.utilities == expected.utilities
+    assert fraction_matrix(got) == matrix
     assert got.weights == expected.weights
     assert got == expected and hash(got) == hash(expected)
 
@@ -100,8 +101,8 @@ def test_parse_instance_builds_no_fraction_per_entry(monkeypatch):
     instance, _, _ = parse_instance(doc)
     assert len(made) < m
     monkeypatch.undo()
-    assert instance.utilities[0][:3] == (-3, -3, Fraction(-1, 3))
-    assert instance.utilities[1][:3] == (-4, Fraction(-2, 2), -2)
+    assert fraction_matrix(instance)[0][:3] == (-3, -3, Fraction(-1, 3))
+    assert fraction_matrix(instance)[1][:3] == (-4, Fraction(-2, 2), -2)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, [1], {}], ids=["true", "float", "list", "object"])

@@ -21,6 +21,7 @@ from fairdiv.verify import is_pareto_optimal_integral, weighted_prop, weighted_p
 from helpers import (
     chores_blocks_instance,
     forest_fixture,
+    fraction_matrix,
     goods_blocks_instance,
     oracle_round,
     rand_instance,
@@ -146,13 +147,14 @@ def test_forest_unshared_items_keep_their_owner():
 def _losses(inst, allocation, owners) -> list:
     """Per agent, the shared items rounding decided against it: a good it
     consumed and did not get, or a chore it consumed only in part and got."""
+    u = fraction_matrix(inst)
     losses = [0] * inst.num_agents
     for o in inst.items:
         sharers = [i for i in inst.agents if allocation.fractions[i][o] > 0]
         if len(sharers) < 2:
             continue
         for i in sharers:
-            if (owners[o] == i) != (inst.value(i, o) > 0):
+            if (owners[o] == i) != (u[i][o] > 0):
                 losses[i] += 1
     return losses
 
@@ -192,7 +194,6 @@ def test_pipeline_goods_blocks():
     inst = goods_blocks_instance()
     result = allocate(inst)
     assert result.report.prop1.holds
-    assert result.report.fpo_certified
     assert result.report.welfare_weights is not None
     assert weighted_prop(inst, result.fractional).holds
     assert weighted_prop1(inst, result.integral).holds
@@ -202,7 +203,6 @@ def test_pipeline_chores_blocks():
     inst = chores_blocks_instance()
     result = allocate(inst)
     assert result.report.prop1.holds
-    assert result.report.fpo_certified
     assert result.report.welfare_weights is not None
     assert weighted_prop(inst, result.fractional).holds
 
@@ -250,9 +250,10 @@ def test_pipeline_solves_one_lp(monkeypatch):
         # the LP's vertex is rounded as it is: a forest, one strict sign per shared item
         graph = consumption_graph(result.fractional)
         assert find_cycle(graph) is None
+        u = fraction_matrix(inst)
         for o in graph.shared_items():
-            assert len({inst.value(i, o) > 0 for i in graph.item_agents[o]}) == 1
-            assert all(inst.value(i, o) != 0 for i in graph.item_agents[o])
+            assert len({u[i][o] > 0 for i in graph.item_agents[o]}) == 1
+            assert all(u[i][o] != 0 for i in graph.item_agents[o])
 
 
 @pytest.mark.parametrize("bad", [(F(1), F(100)), (F(0), F(1))])
@@ -284,7 +285,6 @@ def test_pipeline_random_instances_keep_guarantees():
         inst = rand_instance(rng, n, m, weight_mode=mode)
         result = allocate(inst)
         assert result.report.prop1.holds
-        assert result.report.fpo_certified
         assert is_pareto_optimal_integral(inst, result.integral)
         for o in inst.items:
             assert result.fractional.fractions[result.integral.owners[o]][o] > 0

@@ -41,6 +41,7 @@ from helpers import (
     GOODS_BLOCKS_Y,
     IDENTICAL_ITEMS_BALANCED,
     chores_blocks_instance,
+    fraction_matrix,
     goods_blocks_instance,
     identical_items_instance,
     lp_find_welfare_weights,
@@ -213,6 +214,7 @@ def test_prop1_weighted_bounds():
 
 def test_prop1_matches_unweighted_checker_on_equal_weights():
     def naive_prop1(inst, alloc):
+        u = fraction_matrix(inst)
         ok = []
         for i in inst.agents:
             share = inst.total_value(i) / inst.num_agents
@@ -220,9 +222,9 @@ def test_prop1_matches_unweighted_checker_on_equal_weights():
             candidates = [value]
             for o in inst.items:
                 if alloc.owners[o] == i:
-                    candidates.append(value - inst.value(i, o))
+                    candidates.append(value - u[i][o])
                 else:
-                    candidates.append(value + inst.value(i, o))
+                    candidates.append(value + u[i][o])
             ok.append(max(candidates) >= share)
         return all(ok)
 
@@ -241,6 +243,7 @@ def test_prop1_witnesses_revalidate():
         inst = rand_instance(rng, n, m, weight_mode=rng.choice(["equal", "random"]))
         alloc = rand_integral(rng, n, m)
         report = weighted_prop1(inst, alloc)
+        u = fraction_matrix(inst)
         assert report.holds == all(w.satisfied for w in report.witnesses)
         for w in report.witnesses:
             assert w.bundle_value == utility(inst, alloc, w.agent)
@@ -249,10 +252,10 @@ def test_prop1_witnesses_revalidate():
                 assert w.adjusted_value == w.bundle_value
             elif w.rule == ADD_ITEM:
                 assert alloc.owners[w.item] != w.agent
-                assert w.adjusted_value == w.bundle_value + inst.value(w.agent, w.item)
+                assert w.adjusted_value == w.bundle_value + u[w.agent][w.item]
             elif w.rule == REMOVE_ITEM:
                 assert alloc.owners[w.item] == w.agent
-                assert w.adjusted_value == w.bundle_value - inst.value(w.agent, w.item)
+                assert w.adjusted_value == w.bundle_value - u[w.agent][w.item]
             assert w.satisfied == (w.adjusted_value >= w.bound)
 
 
@@ -401,7 +404,8 @@ def test_po_never_searches_an_fpo_allocation(monkeypatch):
     for n, m in [(1, 0), (2, 5), (3, 12), (4, 40), (1, 1500)]:
         inst = rand_instance(rng, n, m)
         lam = [rng.randint(1, 5) for _ in range(n)]
-        owners = tuple(max(inst.agents, key=lambda i: lam[i] * inst.value(i, o))
+        u = fraction_matrix(inst)
+        owners = tuple(max(inst.agents, key=lambda i: lam[i] * u[i][o])
                        for o in inst.items)
         alloc = IntegralAllocation(n, owners)
         assert is_pareto_optimal_integral(inst, alloc, cap=n ** m)
