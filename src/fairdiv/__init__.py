@@ -17,7 +17,6 @@ from fairdiv.core import (
     find_cycle,
     proportional_share,
     utilities,
-    utility,
 )
 from fairdiv.improve import (
     dominance_welfare_lp,
@@ -25,7 +24,6 @@ from fairdiv.improve import (
     proportional_seed,
 )
 from fairdiv.rounding import (
-    CertificateReport,
     PipelineResult,
     allocate,
     round_acyclic,
@@ -44,7 +42,6 @@ from fairdiv.verify import (
 
 __all__ = [
     "AgentWitness",
-    "CertificateReport",
     "ConsumptionGraph",
     "Cycle",
     "EnumerationCapExceeded",
@@ -69,7 +66,6 @@ __all__ = [
     "propx",
     "round_acyclic",
     "utilities",
-    "utility",
     "weighted_prop",
     "weighted_prop1",
 ]

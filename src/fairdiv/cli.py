@@ -121,9 +121,9 @@ def _cmd_solve(args) -> int:
     instance, agent_ids, item_ids = parse_instance(_load(args.instance))
     result = allocate(instance)
     certificates = {
-        "prop1": report_doc(result.report.prop1, agent_ids, item_ids)["witnesses"],
+        "prop1": report_doc(result.prop1, agent_ids, item_ids)["witnesses"],
         "fpoCertified": True,  # allocate raises unless the weights certify fPO
-        "welfareWeights": [format_rational(w) for w in result.report.welfare_weights],
+        "welfareWeights": [format_rational(w) for w in result.welfare_weights],
     }
     _emit({
         "allocation": print_allocation(result.integral, agent_ids, item_ids)["owner"],

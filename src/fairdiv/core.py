@@ -187,9 +187,6 @@ class IntegralAllocation:
     def num_items(self) -> int:
         return len(self.owners)
 
-    def bundle(self, agent: int) -> tuple:
-        return tuple(o for o, a in enumerate(self.owners) if a == agent)
-
     def bundles(self) -> tuple:
         out = [[] for _ in range(self.num_agents)]
         for o, a in enumerate(self.owners):
@@ -226,9 +223,6 @@ class ConsumptionGraph:
         """Items consumed by two or more agents."""
         return tuple(o for o, agents in enumerate(self.item_agents) if len(agents) >= 2)
 
-    def num_edges(self) -> int:
-        return sum(len(items) for items in self.agent_items)
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -241,15 +235,6 @@ class Cycle:
 
     agents: tuple
     items: tuple
-
-    def edges(self) -> list:
-        """(agent, item) pairs in walk order, starting from agents[0]."""
-        k = len(self.agents)
-        out = []
-        for t in range(k):
-            out.append((self.agents[t], self.items[t]))
-            out.append((self.agents[(t + 1) % k], self.items[t]))
-        return out
 
 
 def _check_shape(instance: Instance, allocation: Allocation) -> None:
@@ -266,11 +251,6 @@ def _mixed_sign_item(instance: Instance, graph: ConsumptionGraph) -> Optional[in
         if not (all(v > 0 for v in values) or all(v < 0 for v in values)):
             return o
     return None
-
-
-def utility(instance: Instance, allocation: Allocation, agent: int) -> Fraction:
-    """Agent's additive utility for its (possibly fractional) bundle."""
-    return utilities(instance, allocation)[agent]
 
 
 def utilities(instance: Instance, allocation: Allocation) -> tuple:

@@ -50,20 +50,16 @@ from fairdiv.verify import (  # noqa: F401
     weighted_prop1,
 )
 
-@dataclass(frozen=True)
-class CertificateReport:
-    """Evidence attached to a pipeline result. ``welfare_weights`` certify
-    fPO; ``allocate`` raises rather than return an uncertified result."""
-
-    prop1: PropertyReport
-    welfare_weights: tuple
-
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """``welfare_weights`` certify fPO of both allocations; ``allocate``
+    raises rather than return an uncertified result."""
+
     integral: IntegralAllocation
     fractional: FractionalAllocation
-    report: CertificateReport
+    prop1: PropertyReport
+    welfare_weights: tuple
 
 
 # Only bench/spans.py reads this name: its traced run wraps it. Nothing is
@@ -139,5 +135,5 @@ def allocate(instance: Instance) -> PipelineResult:
     prop1 = weighted_prop1(instance, integral)
     if not prop1.holds:
         raise InvariantViolation("pipeline output violates weighted PROP1")
-    report = CertificateReport(prop1=prop1, welfare_weights=weights)
-    return PipelineResult(integral=integral, fractional=improved, report=report)
+    return PipelineResult(integral=integral, fractional=improved, prop1=prop1,
+                          welfare_weights=weights)

@@ -261,8 +261,7 @@ def witness_doc(witness: AgentWitness, agent_ids, item_ids) -> dict:
         "item": item_ids[witness.item] if witness.item is not None else None,
         "bundleValue": format_rational(witness.bundle_value),
         "bound": format_rational(witness.bound),
-        "adjustedValue": (format_rational(witness.adjusted_value)
-                          if witness.adjusted_value is not None else None),
+        "adjustedValue": format_rational(witness.adjusted_value),
     }
 
 

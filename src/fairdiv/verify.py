@@ -75,12 +75,6 @@ class PropertyReport:
     holds: bool
     witnesses: tuple
 
-    def witness(self, agent: int) -> AgentWitness:
-        return self.witnesses[agent]
-
-    def failing_agents(self) -> tuple:
-        return tuple(w.agent for w in self.witnesses if not w.satisfied)
-
 
 def weighted_prop(instance: Instance, allocation: Allocation) -> PropertyReport:
     """Does every agent get at least its weighted share of the whole pie?"""

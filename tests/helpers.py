@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from first principles (union-find,
 Gaussian elimination, vertex enumeration, naive allocation scans) so tests
-never certify library code with the library's own machinery.
+never certify library code with the library's own machinery. The one
+exception is the two LP oracles for fractional Pareto optimality at the
+end: they run ``fairdiv.lp.solve``, and their section comment says why
+that is sound.
 """
 
 from __future__ import annotations
@@ -507,7 +510,10 @@ def oracle_is_pareto_optimal(instance: Instance, allocation: IntegralAllocation)
 # verify decides fPO with a combinatorial ratio-graph check. These are the
 # two LP formulations it replaced, kept as independent references: one asks
 # for a Pareto improvement directly, the other for welfare weights. They run
-# the library's simplex, which the check they are compared with never calls.
+# the library's simplex, which the check they are compared with never calls,
+# so a fault in one cannot hide a fault in the other; the simplex itself is
+# checked against vertex enumeration above
+# (test_acceptance.py::test_simplex_agrees_with_vertex_enumeration).
 
 
 def lp_pareto_improvement_exists(instance: Instance, allocation) -> bool:

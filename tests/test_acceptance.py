@@ -61,7 +61,7 @@ def test_pipeline_guarantees_on_random_suite(random_suite):
     start = time.perf_counter()
     for inst in random_suite:
         result = allocate(inst)
-        assert result.report.prop1.holds
+        assert result.prop1.holds
         assert is_pareto_optimal_integral(inst, result.integral)
         assert not pareto_improvement_exists(inst, result.integral)
     elapsed = time.perf_counter() - start
@@ -88,7 +88,7 @@ def test_emitted_weights_certify_both_allocations(random_suite):
                             identical_items_instance()]
     for inst in suite:
         result = allocate(inst)
-        weights = result.report.welfare_weights
+        weights = result.welfare_weights
         assert len(weights) == inst.num_agents and all(w > 0 for w in weights)
         assert _maximizers_consume(inst, result.fractional, weights)
         assert _maximizers_consume(inst, result.integral, weights)
@@ -102,7 +102,7 @@ def test_goods_instance_dominating_allocation_fails_prop1():
     assert pareto_dominates(inst, GOODS_BLOCKS_Y, GOODS_BLOCKS_X)
     report = weighted_prop1(inst, GOODS_BLOCKS_Y)
     assert not report.holds
-    witness = report.witness(0)
+    witness = report.witnesses[0]
     assert not witness.satisfied
     assert witness.rule == ADD_ITEM
     assert witness.bundle_value == F(3, 10)
@@ -118,7 +118,7 @@ def test_chores_instance_dominating_allocation_fails_prop1():
     assert pareto_dominates(inst, CHORES_BLOCKS_Y, CHORES_BLOCKS_X)
     report = weighted_prop1(inst, CHORES_BLOCKS_Y)
     assert not report.holds
-    witness = report.witness(0)
+    witness = report.witnesses[0]
     assert not witness.satisfied
     assert witness.rule == REMOVE_ITEM
     assert witness.bundle_value == F(-2, 5)
@@ -136,7 +136,7 @@ def test_identical_items_admit_no_propx_allocation():
     assert count == 0
     report = propx(inst, IDENTICAL_ITEMS_BALANCED)
     assert not report.holds
-    witness = report.witness(2)
+    witness = report.witnesses[2]
     assert not witness.satisfied
     assert witness.adjusted_value == 4
     assert witness.bound == F(13, 3)

@@ -11,7 +11,6 @@ from fairdiv.core import (
     find_cycle,
     proportional_share,
     utilities,
-    utility,
 )
 from fairdiv.improve import (
     dominance_welfare_lp,
@@ -35,8 +34,7 @@ def test_proportional_seed_gives_entitlement_everywhere():
     seed = proportional_seed(inst)
     assert seed.fractions[0] == (F(1, 2), F(1, 2))
     assert seed.fractions[1] == (F(1, 4), F(1, 4))
-    for i in inst.agents:
-        assert utility(inst, seed, i) == proportional_share(inst, i)
+    assert utilities(inst, seed) == tuple(proportional_share(inst, i) for i in inst.agents)
 
 
 def test_welfare_lp_single_item_two_agents():
@@ -123,8 +121,8 @@ def test_improve_reaches_the_welfare_optimum_acyclically(make):
     assert find_cycle(consumption_graph(x)) is None
     welfare = sum(utilities(inst, x), F(0))
     assert welfare == solve(dominance_welfare_lp(inst, proportional_seed(inst))).value
-    for i in inst.agents:
-        assert utility(inst, x, i) >= proportional_share(inst, i)
+    for i, value in enumerate(utilities(inst, x)):
+        assert value >= proportional_share(inst, i)
 
 
 def test_improve_postconditions_on_random_instances():
@@ -137,9 +135,9 @@ def test_improve_postconditions_on_random_instances():
         x, weights = improve_to_acyclic_fpo(inst)
         graph = consumption_graph(x)
         assert find_cycle(graph) is None
-        for i in inst.agents:
-            assert utility(inst, x, i) >= utility(inst, seed, i)
-            assert utility(inst, x, i) >= proportional_share(inst, i)
+        for i, (value, before) in enumerate(zip(utilities(inst, x), utilities(inst, seed))):
+            assert value >= before
+            assert value >= proportional_share(inst, i)
         welfare = sum(utilities(inst, x), F(0))
         assert welfare == solve(dominance_welfare_lp(inst, seed)).value
         u = fraction_matrix(inst)

@@ -193,8 +193,8 @@ def test_forest_active_agent_keeps_goods_and_sheds_chores():
 def test_pipeline_goods_blocks():
     inst = goods_blocks_instance()
     result = allocate(inst)
-    assert result.report.prop1.holds
-    assert result.report.welfare_weights is not None
+    assert result.prop1.holds
+    assert result.welfare_weights is not None
     assert weighted_prop(inst, result.fractional).holds
     assert weighted_prop1(inst, result.integral).holds
 
@@ -202,8 +202,8 @@ def test_pipeline_goods_blocks():
 def test_pipeline_chores_blocks():
     inst = chores_blocks_instance()
     result = allocate(inst)
-    assert result.report.prop1.holds
-    assert result.report.welfare_weights is not None
+    assert result.prop1.holds
+    assert result.welfare_weights is not None
     assert weighted_prop(inst, result.fractional).holds
 
 
@@ -273,7 +273,7 @@ def test_pipeline_is_deterministic():
     second = allocate(inst)
     assert first.integral.owners == second.integral.owners
     assert first.fractional.fractions == second.fractional.fractions
-    assert first.report.welfare_weights == second.report.welfare_weights
+    assert first.welfare_weights == second.welfare_weights
 
 
 def test_pipeline_random_instances_keep_guarantees():
@@ -284,7 +284,7 @@ def test_pipeline_random_instances_keep_guarantees():
         mode = "equal" if trial % 2 else "random"
         inst = rand_instance(rng, n, m, weight_mode=mode)
         result = allocate(inst)
-        assert result.report.prop1.holds
+        assert result.prop1.holds
         assert is_pareto_optimal_integral(inst, result.integral)
         for o in inst.items:
             assert result.fractional.fractions[result.integral.owners[o]][o] > 0

@@ -17,7 +17,7 @@ from fairdiv.core import (
     InvariantViolation,
     consumption_graph,
     proportional_share,
-    utility,
+    utilities,
 )
 from fairdiv.verify import (
     ADD_ITEM,
@@ -146,9 +146,9 @@ def test_weighted_prop_flags_each_agent():
     alloc = IntegralAllocation(2, (0, 1))
     report = weighted_prop(inst, alloc)
     assert not report.holds
-    assert report.witness(0).satisfied is False  # bound 3, value 2
-    assert report.witness(1).satisfied is True   # bound 1, value 2
-    assert report.failing_agents() == (0,)
+    assert report.witnesses[0].satisfied is False  # bound 3, value 2
+    assert report.witnesses[1].satisfied is True   # bound 1, value 2
+    assert [w.agent for w in report.witnesses if not w.satisfied] == [0]
 
 
 def test_weighted_prop_accepts_fractional():
@@ -161,11 +161,11 @@ def test_prop1_goods_blocks_x_passes():
     inst = goods_blocks_instance()
     report = weighted_prop1(inst, GOODS_BLOCKS_X)
     assert report.holds
-    w0 = report.witness(0)
+    w0 = report.witnesses[0]
     assert w0.rule == ADD_ITEM and w0.item == 0
     assert w0.adjusted_value == F(1, 5) + F(3, 10)
-    assert report.witness(1).rule == MEETS_BOUND
-    assert report.witness(2).rule == MEETS_BOUND
+    assert report.witnesses[1].rule == MEETS_BOUND
+    assert report.witnesses[2].rule == MEETS_BOUND
 
 
 def test_prop1_goods_blocks_y_fails_exactly():
@@ -173,8 +173,8 @@ def test_prop1_goods_blocks_y_fails_exactly():
     assert pareto_dominates(inst, GOODS_BLOCKS_Y, GOODS_BLOCKS_X)
     report = weighted_prop1(inst, GOODS_BLOCKS_Y)
     assert not report.holds
-    assert report.failing_agents() == (0,)
-    w = report.witness(0)
+    assert [w.agent for w in report.witnesses if not w.satisfied] == [0]
+    w = report.witnesses[0]
     assert w.bundle_value == F(3, 10)
     assert w.adjusted_value == F(3, 10) + F(1, 40) == F(13, 40)
     assert w.adjusted_value < F(1, 3) == w.bound
@@ -184,7 +184,7 @@ def test_prop1_chores_blocks_x_passes():
     inst = chores_blocks_instance()
     report = weighted_prop1(inst, CHORES_BLOCKS_X)
     assert report.holds
-    w0 = report.witness(0)
+    w0 = report.witnesses[0]
     assert w0.rule == REMOVE_ITEM and w0.item == 10
     assert w0.adjusted_value == 0
 
@@ -194,8 +194,8 @@ def test_prop1_chores_blocks_y_fails_exactly():
     assert pareto_dominates(inst, CHORES_BLOCKS_Y, CHORES_BLOCKS_X)
     report = weighted_prop1(inst, CHORES_BLOCKS_Y)
     assert not report.holds
-    assert report.failing_agents() == (0,)
-    w = report.witness(0)
+    assert [w.agent for w in report.witnesses if not w.satisfied] == [0]
+    w = report.witnesses[0]
     assert w.bundle_value == F(-2, 5)
     assert w.rule == REMOVE_ITEM
     assert w.adjusted_value == F(-9, 25)
@@ -207,8 +207,8 @@ def test_prop1_weighted_bounds():
     inst = Instance([[3, 3], [3, 3]], weights=[2, 1])
     alloc = IntegralAllocation(2, (0, 1))
     report = weighted_prop1(inst, alloc)
-    assert report.witness(0).bound == 4
-    assert report.witness(1).bound == 2
+    assert report.witnesses[0].bound == 4
+    assert report.witnesses[1].bound == 2
     assert report.holds  # agent 0: 3 + 3 >= 4 after adding the other item
 
 
@@ -218,7 +218,7 @@ def test_prop1_matches_unweighted_checker_on_equal_weights():
         ok = []
         for i in inst.agents:
             share = inst.total_value(i) / inst.num_agents
-            value = utility(inst, alloc, i)
+            value = utilities(inst, alloc)[i]
             candidates = [value]
             for o in inst.items:
                 if alloc.owners[o] == i:
@@ -244,9 +244,10 @@ def test_prop1_witnesses_revalidate():
         alloc = rand_integral(rng, n, m)
         report = weighted_prop1(inst, alloc)
         u = fraction_matrix(inst)
+        values = utilities(inst, alloc)
         assert report.holds == all(w.satisfied for w in report.witnesses)
         for w in report.witnesses:
-            assert w.bundle_value == utility(inst, alloc, w.agent)
+            assert w.bundle_value == values[w.agent]
             assert w.bound == proportional_share(inst, w.agent)
             if w.rule == MEETS_BOUND:
                 assert w.adjusted_value == w.bundle_value
@@ -267,7 +268,7 @@ def test_propx_identical_items_balanced_fails():
     inst = identical_items_instance()
     report = propx(inst, IDENTICAL_ITEMS_BALANCED)
     assert not report.holds
-    w = report.witness(2)
+    w = report.witnesses[2]
     assert not w.satisfied
     assert w.rule == ADD_ITEM and w.item == 4
     assert w.adjusted_value == 4
