@@ -91,6 +91,13 @@ class Instance:
         for d, row in rows:
             if d < 1 or math.gcd(d, *row) != 1:
                 raise ValueError("an integer row needs d >= 1 and gcd(d, *N) == 1")
+        return cls._from_canonical_rows(rows, weights)
+
+    @classmethod
+    def _from_canonical_rows(cls, rows: tuple, weights=None) -> "Instance":
+        """``from_integer_rows`` without its canonical-row check, for a
+        tuple of rows ``(d, N)`` that ``integer_row`` built or that were
+        reduced by ``gcd(d, *N)`` already, ``N`` a tuple."""
         instance = cls.__new__(cls)
         instance._set_rows(rows, weights)
         return instance
@@ -178,9 +185,13 @@ class IntegralAllocation:
         owners = tuple(self.owners)
         if self.num_agents < 1:
             raise ValueError("an allocation needs at least one agent")
-        for a in owners:
-            if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.num_agents:
-                raise ValueError("every item must be owned by a valid agent index")
+        # owners that are all plain ints in range pass in C-level passes;
+        # others, int subclasses included, are checked one by one
+        if owners and not (set(map(type, owners)) == {int}
+                           and 0 <= min(owners) and max(owners) < self.num_agents):
+            for a in owners:
+                if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.num_agents:
+                    raise ValueError("every item must be owned by a valid agent index")
         object.__setattr__(self, "owners", owners)
 
     @property

@@ -10,7 +10,9 @@ from __future__ import annotations
 import re
 import reprlib
 from fractions import Fraction
+from itertools import filterfalse, repeat
 from math import gcd, lcm
+from operator import itemgetter
 
 from fairdiv.core import FractionalAllocation, Instance, IntegralAllocation, integer_row
 from fairdiv.verify import AgentWitness, PropertyReport
@@ -22,8 +24,9 @@ from fairdiv.verify import AgentWitness, PropertyReport
 MAX_RATIONAL_CHARS = 1000
 MAX_DECIMAL_EXPONENT = 1000
 _INT_LIMIT = 10 ** MAX_RATIONAL_CHARS
-# A utilities matrix with fewer entries is read entry by entry: a table's
-# set-up would cost more than the repeated reads it saves.
+# A utilities matrix with fewer entries, or fewer than two columns, is read
+# entry by entry: a table's set-up would cost more than the repeated reads
+# it saves, and itemgetter of one key returns the value, not a tuple.
 _TABLE_MIN_ENTRIES = 40
 _TABLE_TYPES = {int, str}
 # Fraction's string grammar as of Python 3.10. Later versions accept more
@@ -99,48 +102,59 @@ def _table_rows(utilities: list, num_items: int):
     ``[_ratio(v) for v in row]``, read through one table of the document's
     distinct values, or None when the matrix does not suit a table.
 
-    It suits one when it has at least _TABLE_MIN_ENTRIES entries, all JSON
-    integers and strings, and repeats itself: every leading block of rows
-    holds at least two entries per distinct value, as valuation tables
-    drawn from a small scale do. Each distinct value is then read once and
-    scaled once to the lcm ``D`` of all the document's denominators, and
-    each row is mapped through the scaled values, so it holds one int
-    object per distinct value. Row i's own lcm ``d_i`` divides ``D``, and
-    its canonical row has ``gcd(d_i, *N_i) == 1``, so the mapped row is
-    ``N_i`` times ``g = gcd(D, *mapped) = D // d_i``.
+    It suits one when it has at least _TABLE_MIN_ENTRIES entries and two
+    columns, all JSON integers and strings, and repeats itself: every
+    leading block of rows holds at least two entries per distinct value,
+    as valuation tables drawn from a small scale do. Each row is mapped
+    through the table in one C-level pass, so it holds one int object per
+    distinct value. The table holds every value read so far, scaled to the
+    lcm ``L`` of their denominators; a row that meets a value not in it
+    has its new values read and added first, and ``L`` grows with them.
+    Row i's own lcm ``d_i`` divides the ``L`` it is mapped over, and its
+    canonical row has ``gcd(d_i, *N_i) == 1``, so the mapped row is ``N_i``
+    times ``g = gcd(L, *mapped) = L // d_i``.
 
     None also when a row is ragged or not a list, or a value fails to read:
     the caller then reads entry by entry, and its error names the first bad
-    row or entry. A bool is refused here because it would hide in a set
-    among equal ints, since True == 1. None, too, when ``D`` has more than
-    MAX_RATIONAL_CHARS digits: rows read apart keep their own smaller
-    denominators, where the table would hold every value scaled to ``D``.
+    row or entry. A bool is refused here because it would hide in a table
+    among equal ints, since True == 1. None, too, when ``L`` reaches more
+    than MAX_RATIONAL_CHARS digits: rows read apart keep their own smaller
+    denominators, where the table would hold every value scaled to ``L``.
     """
-    if len(utilities) * num_items < _TABLE_MIN_ENTRIES:
+    if len(utilities) * num_items < _TABLE_MIN_ENTRIES or num_items < 2:
         return None
-    distinct = set()
+    scale, lcd = {}, 1
+    rows = []
     for k, row in enumerate(utilities, 1):
         if (not isinstance(row, list) or len(row) != num_items
                 or not set(map(type, row)) <= _TABLE_TYPES):
             return None
-        distinct.update(row)
-        if 2 * len(distinct) > k * num_items:
-            return None
-    try:
-        pairs = {v: _ratio(v) for v in distinct}
-    except ValueError:
-        return None
-    lcd = lcm(*{q for _, q in pairs.values()})
-    if lcd >= _INT_LIMIT:
-        return None
-    scale = {v: p * (lcd // q) for v, (p, q) in pairs.items()}
-    rows = []
-    for row in utilities:
-        scaled = tuple(map(scale.__getitem__, row))
-        g = gcd(lcd, *scaled) if lcd > 1 else 1
+        pick = itemgetter(*row)
+        try:
+            scaled = pick(scale)
+        except KeyError:
+            new = set(filterfalse(scale.__contains__, row))
+            if 2 * (len(scale) + len(new)) > k * num_items:
+                return None
+            try:
+                pairs = {v: _ratio(v) for v in new}
+            except ValueError:
+                return None
+            grown = lcm(lcd, *{q for _, q in pairs.values()})
+            if grown >= _INT_LIMIT:
+                return None
+            if grown != lcd:
+                # the rows already mapped keep their own lcd
+                scale = {v: s * (grown // lcd) for v, s in scale.items()}
+                lcd = grown
+            scale.update({v: p * (lcd // q) for v, (p, q) in pairs.items()})
+            scaled = pick(scale)
+        # gcd(L, *scaled), cut short: most rows reach 1 in a few entries
+        g = gcd(lcd, *scaled[:8])
         if g > 1:
-            reduced = {v: scale[v] // g for v in set(row)}
-            scaled = tuple(map(reduced.__getitem__, row))
+            g = gcd(g, *scaled[8:])
+        if g > 1:
+            scaled = pick({v: scale[v] // g for v in set(row)})
         rows.append((lcd // g, scaled))
     return rows
 
@@ -180,7 +194,7 @@ def parse_instance(doc) -> tuple:
         raise ValueError("either every agent carries a weight or none does")
 
     item_ids = doc["items"]
-    if not isinstance(item_ids, list) or not all(isinstance(s, str) for s in item_ids):
+    if not isinstance(item_ids, list) or not all(map(isinstance, item_ids, repeat(str))):
         raise ValueError("items must be a list of string ids")
     if len(set(item_ids)) != len(item_ids):
         raise ValueError("item ids must be unique")
@@ -195,7 +209,10 @@ def parse_instance(doc) -> tuple:
             if not isinstance(row, list) or len(row) != len(item_ids):
                 raise ValueError("every utility row must hold one entry per item")
             rows.append(integer_row([_ratio(v) for v in row]))
-    instance = Instance.from_integer_rows(rows, tuple(weights) if all(weighted) else None)
+    # both reads give canonical rows, so the public constructor's check
+    # would only repeat their gcd
+    instance = Instance._from_canonical_rows(tuple(rows),
+                                             tuple(weights) if all(weighted) else None)
     return instance, tuple(agent_ids), tuple(item_ids)
 
 
@@ -213,13 +230,24 @@ def print_instance(instance: Instance, agent_ids, item_ids) -> dict:
 
 
 def parse_allocation(doc, agent_ids, item_ids) -> IntegralAllocation:
-    """Read an {"owner": {item: agent}} document against known ids."""
+    """Read an {"owner": {item: agent}} document against known ids.
+
+    A document that names every item once, each with a known agent id
+    string, is read in C-level passes; any other is read pair by pair in
+    document order, so the error names its first fault."""
     if not isinstance(doc, dict) or not isinstance(doc.get("owner"), dict):
         raise ValueError('allocation document must be {"owner": {item: agent}}')
-    agent_index = {a: i for i, a in enumerate(agent_ids)}
+    owner = doc["owner"]
+    agent_index = dict(zip(agent_ids, range(len(agent_ids))))
+    if (len(owner) == len(item_ids) and owner.keys() == set(item_ids)
+            and all(map(isinstance, owner.values(), repeat(str)))
+            and agent_index.keys() >= set(owner.values())):
+        # the keys are the item ids, each once, and every owner is known
+        owners = tuple(map(agent_index.__getitem__, map(owner.__getitem__, item_ids)))
+        return IntegralAllocation(len(agent_ids), owners)
     item_index = {o: j for j, o in enumerate(item_ids)}
     owners = [None] * len(item_ids)
-    for item, agent in doc["owner"].items():
+    for item, agent in owner.items():
         if item not in item_index:
             raise ValueError(f"unknown item id {reprlib.repr(item)}")
         if not isinstance(agent, str):

@@ -47,6 +47,10 @@ ADD_ITEM = "add-item"
 REMOVE_ITEM = "remove-item"
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
+# The least positive limit sys.set_int_max_str_digits accepts: a count of
+# allocations with at most this many digits prints whatever the
+# interpreter's setting, and a cap message naming it stays under 1 KiB.
+_PRINTABLE_DIGITS = 640
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,7 @@ def weighted_prop1(instance: Instance, allocation: IntegralAllocation) -> Proper
     """
     _require_integral(allocation)
     _check_shape(instance, allocation)
+    owners = allocation.owners
     witnesses = []
     for i, ((d, row), owned) in enumerate(zip(instance.integer_rows, allocation.bundles())):
         value = sum(map(row.__getitem__, owned))
@@ -114,13 +119,16 @@ def weighted_prop1(instance: Instance, allocation: IntegralAllocation) -> Proper
             continue
         best_add = best_rm = None
         if len(owned) < len(row):
-            # owned items masked below every value, so the first maximum
-            # of the copy is the lowest-index best unowned item
-            masked = list(row)
-            low = min(row) - 1
-            for o in owned:
-                masked[o] = low
-            best_add = masked.index(max(masked))
+            # the row's first maximum is the lowest-index best unowned item
+            # unless the agent owns it; only then are the owned items masked
+            # below every value in a copy
+            best_add = row.index(max(row))
+            if owners[best_add] == i:
+                masked = list(row)
+                low = min(row) - 1
+                for o in owned:
+                    masked[o] = low
+                best_add = masked.index(max(masked))
         if owned:
             best_rm = min(owned, key=row.__getitem__)  # the first minimum
 
@@ -156,6 +164,7 @@ def propx(instance: Instance, allocation: IntegralAllocation) -> PropertyReport:
     _require_integral(allocation)
     _check_shape(instance, allocation)
     n = instance.num_agents
+    owners = allocation.owners
     witnesses = []
     for i, ((d, row), owned) in enumerate(zip(instance.integer_rows, allocation.bundles())):
         value = sum(map(row.__getitem__, owned))
@@ -165,13 +174,17 @@ def propx(instance: Instance, allocation: IntegralAllocation) -> PropertyReport:
             witnesses.append(AgentWitness(i, True, MEETS_BOUND, None,
                                           bundle_value, bound, bundle_value))
             continue
-        # owned items masked to 0, so the least positive entry of the copy
-        # is the least unowned good, and its first place the lowest index
-        masked = list(row)
-        for o in owned:
-            masked[o] = 0
-        good = min(filter((0).__lt__, masked), default=None)
-        item = None if good is None else masked.index(good)
+        # the row's least positive entry, at its first place, is the least
+        # unowned good unless the agent owns that place; only then are the
+        # owned items masked to 0 in a copy
+        good = min(filter((0).__lt__, row), default=None)
+        item = None if good is None else row.index(good)
+        if item is not None and owners[item] == i:
+            masked = list(row)
+            for o in owned:
+                masked[o] = 0
+            good = min(filter((0).__lt__, masked), default=None)
+            item = None if good is None else masked.index(good)
         chores = [o for o in owned if row[o] < 0]
         if chores:
             chore = max(chores, key=row.__getitem__)  # the first maximum
@@ -382,8 +395,22 @@ def _require_integral(allocation) -> None:
 
 
 def check_cap(instance: Instance, cap: int) -> None:
-    """Raise EnumerationCapExceeded when n**m exceeds the cap."""
-    size = enumeration_size(instance)
-    if size > cap:
-        raise EnumerationCapExceeded(
-            f"{instance.num_agents}**{instance.num_items} = {size} allocations exceed cap {cap}")
+    """Raise EnumerationCapExceeded when n**m exceeds the cap, decided
+    without building n**m. The message gives n**m in full when it has at
+    most _PRINTABLE_DIGITS digits, and names it only as ``n**m`` otherwise."""
+    n, m = instance.num_agents, instance.num_items
+    if _power_at_most(n, m, cap) is None:
+        size = _power_at_most(n, m, 10 ** _PRINTABLE_DIGITS - 1)
+        count = f"{n}**{m}" if size is None else f"{n}**{m} = {size}"
+        raise EnumerationCapExceeded(f"{count} allocations exceed cap {cap}")
+
+
+def _power_at_most(base: int, exp: int, limit: int) -> Optional[int]:
+    """``base**exp`` when it is at most ``limit``, else None. A base of 2 or
+    more is at least ``2**(bit_length - 1)``, so a power that must pass
+    ``limit`` is refused before it is built, and a power built has at most
+    twice ``limit``'s bits."""
+    if base > 1 and exp * (base.bit_length() - 1) > limit.bit_length():
+        return None
+    power = base ** exp
+    return power if power <= limit else None

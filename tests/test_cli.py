@@ -223,6 +223,37 @@ def test_parse_allocation_rejects_unknown_and_missing_ids():
         parse_allocation({"owner": {"p": "zzz", "q": "x"}}, agent_ids, item_ids)
     with pytest.raises(ValueError, match="no owner"):
         parse_allocation({"owner": {"p": "x"}}, agent_ids, item_ids)
+    # several faults in one document: the message names the first pair at
+    # fault in document order, and unassigned items only when no pair is
+    item_ids = ("p", "q", "r")
+    unknown_item, unknown_agent = "unknown item id 'zz'", "unknown agent id 'w'"
+    for owner, message in [
+        ({"q": 3, "zz": "x", "p": "w"}, "owner of item 'q' must be an agent id string, got 3"),
+        ({"zz": "x", "q": 3, "p": "w"}, unknown_item),
+        ({"p": "w", "zz": "x", "q": 3}, unknown_agent),
+        ({"p": "w", "q": "x"}, unknown_agent),
+        ({"q": True, "p": "w"}, "owner of item 'q' must be an agent id string, got True"),
+        ({"p": "x", "q": None, "r": "y"}, "owner of item 'q' must be an agent id string, "
+                                           "got None"),
+        ({"r": ["y"], "p": "x", "q": "x"}, "owner of item 'r' must be an agent id string, "
+                                            "got ['y']"),
+        # every item once, but one owner unknown: the fast read must step aside
+        ({"p": "x", "q": "w", "r": "y"}, unknown_agent),
+        # as many pairs as items, one of them foreign
+        ({"p": "x", "zz": "y", "r": "y"}, unknown_item),
+        ({"p": "x", "q": "y", "r": "y", "zz": "x"}, unknown_item),
+        ({"r": "x", "p": "y"}, "allocation assigns no owner to ['q']"),
+        ({}, "allocation assigns no owner to ['p', 'q', 'r']"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            parse_allocation({"owner": owner}, agent_ids, item_ids)
+        assert str(exc.value) == message, owner
+    # an id list that repeats an item leaves one of its places unassigned
+    with pytest.raises(ValueError) as exc:
+        parse_allocation({"owner": {"p": "x", "q": "y"}}, agent_ids, ("p", "p", "q"))
+    assert str(exc.value) == "allocation assigns no owner to ['p']"
+    got = parse_allocation({"owner": {"r": "y", "p": "x", "q": "y"}}, agent_ids, item_ids)
+    assert got == IntegralAllocation(2, (0, 1, 1))
 
 
 def test_verify_rejects_non_string_owner(capsys, tmp_path):
@@ -490,12 +521,32 @@ def test_verify_po_on_identical_items(capsys):
     assert out["properties"]["po"]["holds"] is True
 
 
-def test_verify_po_cap_exceeded(capsys):
+def _zero_instance_files(tmp_path, n: int, m: int) -> tuple:
+    """An n x m instance of zeros and an allocation of every item to a0."""
+    agents, items = [f"a{i}" for i in range(n)], [f"o{j}" for j in range(m)]
+    inst, alloc = tmp_path / "zeros.json", tmp_path / "zeros-alloc.json"
+    inst.write_text(json.dumps({"agents": [{"id": a} for a in agents], "items": items,
+                                "utilities": [["0"] * m for _ in agents]}))
+    alloc.write_text(json.dumps({"owner": dict.fromkeys(items, "a0")}))
+    return str(inst), str(alloc)
+
+
+# 50**4000 has 6,796 digits, more than an interpreter prints in an int by
+# default, so the cap message names the count instead of printing it
+_UNPRINTABLE_CAP_ERROR = json.dumps({"error": "50**4000 allocations exceed cap 10000000"})
+
+
+def test_verify_po_cap_exceeded(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", fixture("identical_items"),
                            fixture("identical_items_balanced"),
                            "--property", "po", "--cap", "10")
     assert code == 2
     assert err
+    inst, alloc = _zero_instance_files(tmp_path, 50, 4000)
+    code = main(["verify", inst, alloc, "--property", "prop,po"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [_UNPRINTABLE_CAP_ERROR]
 
 
 def test_verify_po_cap_is_checked_before_any_property_runs(capsys, monkeypatch):
@@ -628,11 +679,16 @@ def test_search_single_agent_counts_the_only_allocation(capsys, tmp_path):
         assert out["count"] == 1
 
 
-def test_search_cap_exceeded(capsys):
+def test_search_cap_exceeded(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search", fixture("identical_items"),
                            "--property", "prop1", "--cap", "100")
     assert code == 2
     assert err
+    inst, _ = _zero_instance_files(tmp_path, 50, 4000)
+    code = main(["search", inst, "--property", "prop1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [_UNPRINTABLE_CAP_ERROR]
 
 
 # ---------------------------------------------------------------------------

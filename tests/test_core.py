@@ -162,6 +162,23 @@ def test_integral_allocation_bundles():
     assert alloc.bundles() == ((1,), (3,), (0, 2))
     with pytest.raises(ValueError):
         IntegralAllocation(2, (0, 2))
+    # one bad owner among valid ones, wherever it sits, is refused with
+    # the one message; a bool, a float or a Fraction equal to a valid index
+    # is refused too
+    for bad in (True, False, -1, 2, 10 ** 30, 1.0, Fraction(1), "1", None):
+        for owners in ((bad,), (bad, 0, 1), (0, 1, bad), (1, bad, 0) * 50):
+            with pytest.raises(ValueError, match="^every item must be owned by a valid "
+                                                 "agent index$"):
+                IntegralAllocation(2, owners)
+    with pytest.raises(ValueError, match="at least one agent"):
+        IntegralAllocation(0, (True,))
+    # an int subclass that is not a bool is an agent index, as before
+    class Agent(int):
+        pass
+
+    mixed = IntegralAllocation(2, [Agent(1), 0, Agent(0)])
+    assert mixed.owners == (1, 0, 0) and mixed.bundles() == ((1, 2), (0,))
+    assert IntegralAllocation(1, ()).owners == ()
 
 
 def test_allocation_shape_must_match_instance():

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -21,8 +22,10 @@ from fairdiv.core import (
 )
 from fairdiv.verify import (
     ADD_ITEM,
+    DEFAULT_ENUMERATION_CAP,
     MEETS_BOUND,
     REMOVE_ITEM,
+    check_cap,
     enumerate_integral_allocations,
     enumeration_size,
     find_welfare_weights,
@@ -99,6 +102,24 @@ def test_checkers_match_fraction_oracles_on_ties():
         alloc = IntegralAllocation(3, owners)
         assert weighted_prop1(inst, alloc) == oracle_weighted_prop1(inst, alloc)
         assert propx(inst, alloc) == oracle_propx(inst, alloc)
+    # rows whose maximum and least good recur further on: when an agent
+    # falls short and owns the first place of either, the checker falls
+    # back to masking the agent's items
+    inst = Instance([[5, 1, 5, 3, -2, 1, 4], [2, 2, 3, 1, 1, 9, 2], [-1, 0, 4, 4, 1, 2, 1]],
+                    weights=[3, 2, 1])
+    fallbacks = collections.Counter()
+    for owners in itertools.product(range(3), repeat=7):
+        alloc = IntegralAllocation(3, owners)
+        assert weighted_prop1(inst, alloc) == oracle_weighted_prop1(inst, alloc)
+        assert propx(inst, alloc) == oracle_propx(inst, alloc)
+        for i, ((_, row), owned) in enumerate(zip(inst.integer_rows, alloc.bundles())):
+            value, total = sum(row[o] for o in owned), sum(row)
+            if value * 3 < total and owners[row.index(min(v for v in row if v > 0))] == i:
+                fallbacks["propx"] += 1
+            share = inst.weights[i] * total
+            if value < share and len(owned) < 7 and owners[row.index(max(row))] == i:
+                fallbacks["prop1"] += 1
+    assert min(fallbacks["prop1"], fallbacks["propx"]) > 100, fallbacks
 
 
 @st.composite
@@ -430,6 +451,27 @@ def test_enumeration_cap_is_enforced():
         is_pareto_optimal_integral(inst, IntegralAllocation(2, (0,) * 6), cap=63)
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_integral_allocations(inst, cap=63))
+    for n, m in itertools.product(range(1, 5), range(0, 40, 3)):
+        size = n ** m
+        for cap in {-1, 0, 1, size - 1, size, size + 1, DEFAULT_ENUMERATION_CAP}:
+            inst = Instance([[0] * m] * n)
+            if size <= cap:
+                check_cap(inst, cap)
+                continue
+            with pytest.raises(EnumerationCapExceeded) as exc:
+                check_cap(inst, cap)
+            assert str(exc.value) == f"{n}**{m} = {size} allocations exceed cap {cap}"
+    # a count of up to 640 digits is printed and a longer one only named;
+    # check_cap reads nothing of an instance but its shape
+    for m, want in ((639, f"10**639 = {10 ** 639} allocations"), (640, "10**640 allocations"),
+                    (4000, "10**4000 allocations"), (10 ** 6, "10**1000000 allocations")):
+        shape = SimpleNamespace(num_agents=10, num_items=m)
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            check_cap(shape, DEFAULT_ENUMERATION_CAP)
+        assert str(exc.value) == f"{want} exceed cap {DEFAULT_ENUMERATION_CAP}"
+    with pytest.raises(EnumerationCapExceeded, match=r"^50\*\*4000 allocations exceed cap 99$"):
+        is_pareto_optimal_integral(Instance([[0] * 4000] * 50),
+                                   IntegralAllocation(50, (0,) * 4000), cap=99)
 
 
 def test_enumeration_is_lexicographic_and_checks_the_cap_first():
