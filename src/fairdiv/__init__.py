@@ -6,7 +6,6 @@ and fractionally Pareto optimal, entirely in exact rational arithmetic.
 
 from fairdiv.core import (
     ConsumptionGraph,
-    Cycle,
     EnumerationCapExceeded,
     FairDivisionError,
     FractionalAllocation,
@@ -43,7 +42,6 @@ from fairdiv.verify import (
 __all__ = [
     "AgentWitness",
     "ConsumptionGraph",
-    "Cycle",
     "EnumerationCapExceeded",
     "FairDivisionError",
     "FractionalAllocation",

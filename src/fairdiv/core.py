@@ -7,6 +7,10 @@ keeps no ``fractions.Fraction`` matrix: sums and comparisons run on the
 rows, and a single value becomes a ``Fraction`` only as an LP coefficient
 or when printed. Weights and allocations are ``Fraction``s. Nothing in
 this package touches floating point.
+
+The pipeline asks two things of a consumption graph: its shared items, and
+whether it is a forest, the shape the rounding step needs. ``find_cycle``
+answers the second with the edge that closes a cycle, or None.
 """
 
 from __future__ import annotations
@@ -204,13 +208,6 @@ class IntegralAllocation:
             out[a].append(o)
         return tuple(tuple(b) for b in out)
 
-    def to_fractional(self) -> FractionalAllocation:
-        one, zero = Fraction(1), Fraction(0)
-        rows = [[zero] * self.num_items for _ in range(self.num_agents)]
-        for o, a in enumerate(self.owners):
-            rows[a][o] = one
-        return FractionalAllocation(tuple(tuple(r) for r in rows))
-
 
 Allocation = Union[FractionalAllocation, IntegralAllocation]
 
@@ -222,30 +219,9 @@ class ConsumptionGraph:
     agent_items: tuple  # per agent, ascending item indices
     item_agents: tuple  # per item, ascending agent indices
 
-    @property
-    def num_agents(self) -> int:
-        return len(self.agent_items)
-
-    @property
-    def num_items(self) -> int:
-        return len(self.item_agents)
-
     def shared_items(self) -> tuple:
         """Items consumed by two or more agents."""
         return tuple(o for o, agents in enumerate(self.item_agents) if len(agents) >= 2)
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """A simple cycle in a consumption graph, as alternating vertices.
-
-    The vertex sequence is agents[0], items[0], agents[1], items[1], ...,
-    closing from items[-1] back to agents[0]. Normalized so that agents[0]
-    is the lowest agent index on the cycle.
-    """
-
-    agents: tuple
-    items: tuple
 
 
 def _check_shape(instance: Instance, allocation: Allocation) -> None:
@@ -307,55 +283,24 @@ def consumption_graph(allocation: Allocation) -> ConsumptionGraph:
     )
 
 
-def find_cycle(graph: ConsumptionGraph) -> Optional[Cycle]:
-    """Return a simple cycle of the consumption graph, or None if acyclic.
+def find_cycle(graph: ConsumptionGraph) -> Optional[tuple]:
+    """The first edge ``(agent, item)`` whose two ends the edges before it
+    already join, or None iff the graph is a forest. Edges come in the
+    order the graph holds them, agents by index and each agent's items
+    ascending, and a union-find over agents and items joins them."""
+    n = len(graph.agent_items)
+    root = list(range(n + len(graph.item_agents)))  # item o is vertex n + o
 
-    Deterministic: depth-first from the lowest-index agent, lowest-index
-    neighbor first, so a fixed graph always yields the same cycle. Iterative
-    to stay safe on long agent-item chains. An undirected depth-first search
-    meets a visited vertex again only on its own root path, so the cycle is
-    read off the parent chain.
-    """
-    n = graph.num_agents
-    # Vertices: agents are 0..n-1, item o is n+o.
-    def neighbors(v: int) -> tuple:
-        if v < n:
-            return tuple(n + o for o in graph.agent_items[v])
-        return graph.item_agents[v - n]
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
 
-    parent = {}
-    for start in range(n):
-        if start in parent:
-            continue
-        parent[start] = None
-        stack = [(start, iter(neighbors(start)))]
-        while stack:
-            v, pending = stack[-1]
-            for w in pending:
-                if w == parent[v]:
-                    continue
-                if w in parent:
-                    chain = [v]
-                    while chain[-1] != w:
-                        chain.append(parent[chain[-1]])
-                    return _as_cycle(chain[::-1], n)
-                parent[w] = v
-                stack.append((w, iter(neighbors(w))))
-                break
-            else:
-                stack.pop()
+    for i, items in enumerate(graph.agent_items):
+        for o in items:
+            a, b = find(i), find(n + o)
+            if a == b:
+                return i, o
+            root[a] = b
     return None
-
-
-def _as_cycle(vertices: list, n: int) -> Cycle:
-    # Rotate so the lowest agent index leads; parity then alternates agent/item.
-    agent_positions = [k for k, v in enumerate(vertices) if v < n]
-    if len(vertices) % 2 or len(vertices) < 4:
-        raise InvariantViolation("bipartite cycle must alternate and have length >= 4")
-    lead = min(agent_positions, key=lambda k: vertices[k])
-    rotated = vertices[lead:] + vertices[:lead]
-    agents = tuple(rotated[0::2])
-    items = tuple(v - n for v in rotated[1::2])
-    if any(v >= n for v in agents) or any(v < 0 for v in items):
-        raise InvariantViolation("cycle does not alternate between agents and items")
-    return Cycle(agents, items)

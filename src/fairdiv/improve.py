@@ -115,8 +115,10 @@ def _check_shared_items_same_sign(instance: Instance, x: FractionalAllocation) -
     """The vertex postcondition proved in ``improve_to_acyclic_fpo``: no
     cycle of shared items, and one strict utility sign per shared item."""
     graph = consumption_graph(x)
-    if find_cycle(graph) is not None:
-        raise InvariantViolation("the improvement LP vertex shares items along a cycle")
+    edge = find_cycle(graph)
+    if edge is not None:
+        raise InvariantViolation("the improvement LP vertex shares items along a cycle "
+                                 "closed by agent {} and item {}".format(*edge))
     o = _mixed_sign_item(instance, graph)
     if o is not None:
         raise InvariantViolation(f"item {o} is shared without one strict utility sign")

@@ -81,8 +81,10 @@ def round_acyclic(instance: Instance, allocation: FractionalAllocation) -> Integ
     """
     _check_shape(instance, allocation)
     graph = consumption_graph(allocation)
-    if find_cycle(graph) is not None:
-        raise ValueError("allocation shares items along a cycle; improve it first")
+    edge = find_cycle(graph)
+    if edge is not None:
+        raise ValueError("allocation shares items along a cycle closed by agent {} and "
+                         "item {}; improve it first".format(*edge))
     o = _mixed_sign_item(instance, graph)
     if o is not None:
         raise ValueError(f"shared item {o} lacks a single strict sign")

@@ -1,17 +1,18 @@
 """Independent oracles and generators used across the test suite.
 
-Everything here is deliberately written from first principles (union-find,
-Gaussian elimination, vertex enumeration, naive allocation scans) so tests
-never certify library code with the library's own machinery. The one
-exception is the two LP oracles for fractional Pareto optimality at the
-end: they run ``fairdiv.lp.solve``, and their section comment says why
-that is sound.
+Everything here is deliberately written from first principles
+(breadth-first search, Gaussian elimination, vertex enumeration, naive
+allocation scans) so tests never certify library code with the library's
+own machinery. The one exception is the two LP oracles for fractional
+Pareto optimality at the end: they run ``fairdiv.lp.solve``, and their
+section comment says why that is sound.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict, deque
 from fractions import Fraction
 
 from fairdiv.core import (
@@ -26,6 +27,14 @@ from fairdiv.lp import INFEASIBLE, OPTIMAL, LpProblem, solve
 from fairdiv.verify import ADD_ITEM, MEETS_BOUND, REMOVE_ITEM, AgentWitness, PropertyReport
 
 F = Fraction
+
+
+def to_fractional(allocation: IntegralAllocation) -> FractionalAllocation:
+    """The 0/1 matrix of an integral allocation: x[i][o] = 1 iff i owns o."""
+    rows = [[Fraction(0)] * allocation.num_items for _ in range(allocation.num_agents)]
+    for o, a in enumerate(allocation.owners):
+        rows[a][o] = Fraction(1)
+    return FractionalAllocation(tuple(map(tuple, rows)))
 
 
 def fraction_matrix(instance: Instance) -> tuple:
@@ -213,24 +222,47 @@ def blend(x: FractionalAllocation, y: FractionalAllocation, theta: Fraction) -> 
 # graph oracle
 
 
-def union_find_is_forest(graph: ConsumptionGraph) -> bool:
-    """Acyclicity by union-find, independent of any DFS."""
-    n = graph.num_agents
-    parent = list(range(n + graph.num_items))
+def _reach(edges, start) -> set:
+    """The vertices that ``edges`` join to ``start``, found breadth-first;
+    agent i is ("agent", i) and item o is ("item", o)."""
+    adjacent = defaultdict(list)
+    for i, o in edges:
+        adjacent["agent", i].append(("item", o))
+        adjacent["item", o].append(("agent", i))
+    seen, queue = {start}, deque([start])
+    while queue:
+        for w in adjacent[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
-    for i, items in enumerate(graph.agent_items):
-        for o in items:
-            ri, ro = find(i), find(n + o)
-            if ri == ro:
-                return False
-            parent[ri] = ro
-    return True
+def graph_edges(graph: ConsumptionGraph) -> list:
+    """Edges ``(agent, item)``: agents by index, each agent's items ascending."""
+    return [(i, o) for i, items in enumerate(graph.agent_items) for o in items]
+
+
+def oracle_closing_edge(graph: ConsumptionGraph):
+    """The first edge whose two ends a breadth-first search over the edges
+    before it already joins, or None on a forest: a fresh search per edge,
+    with no union-find."""
+    edges = graph_edges(graph)
+    for k, (i, o) in enumerate(edges):
+        if ("item", o) in _reach(edges[:k], ("agent", i)):
+            return i, o
+    return None
+
+
+def oracle_components(graph: ConsumptionGraph) -> tuple:
+    """(vertices on some edge, connected components among them)."""
+    edges = graph_edges(graph)
+    left = {("agent", i) for i, _ in edges} | {("item", o) for _, o in edges}
+    touched, components = len(left), 0
+    while left:
+        left -= _reach(edges, min(left))
+        components += 1
+    return touched, components
 
 
 def oracle_round(instance: Instance, allocation: FractionalAllocation) -> tuple:
@@ -476,7 +508,7 @@ def oracle_weights_certify(instance: Instance, allocation, weights) -> bool:
     """Does every consumer of every item attain max_j weights[j] * u_j(o)?
     The plain Fraction replay: no consumer may fall below the maximum."""
     if isinstance(allocation, IntegralAllocation):
-        allocation = allocation.to_fractional()
+        allocation = to_fractional(allocation)
     u = fraction_matrix(instance)
     for o in instance.items:
         best = max(weights[j] * u[j][o] for j in instance.agents)
@@ -521,7 +553,7 @@ def lp_pareto_improvement_exists(instance: Instance, allocation) -> bool:
     strictly better in total welfare? Solved as the welfare LP with every
     agent held to its current utility."""
     if isinstance(allocation, IntegralAllocation):
-        allocation = allocation.to_fractional()
+        allocation = to_fractional(allocation)
     solution = solve(dominance_welfare_lp(instance, allocation))
     assert solution.status == OPTIMAL, solution.status
     return solution.value > sum(utilities(instance, allocation), Fraction(0))
@@ -533,7 +565,7 @@ def lp_find_welfare_weights(instance: Instance, allocation):
     LP is infeasible."""
     n = instance.num_agents
     if isinstance(allocation, IntegralAllocation):
-        allocation = allocation.to_fractional()
+        allocation = to_fractional(allocation)
     u = fraction_matrix(instance)
     rows = set()
     for o in instance.items:

@@ -38,6 +38,7 @@ from helpers import (
     is_vertex,
     rand_instance,
     rand_lp,
+    to_fractional,
     vertex_enumeration_optimum,
 )
 
@@ -73,7 +74,7 @@ def _maximizers_consume(inst, allocation, weights) -> bool:
     """Does every agent holding a positive share of an item maximize
     weights[j] * u_j(item) over all agents j?"""
     if isinstance(allocation, IntegralAllocation):
-        allocation = allocation.to_fractional()
+        allocation = to_fractional(allocation)
     rows = allocation.fractions
     u = fraction_matrix(inst)
     for o in inst.items:

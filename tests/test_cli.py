@@ -695,11 +695,20 @@ def test_search_cap_exceeded(capsys, tmp_path):
 # console entry point
 
 
-def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fairdiv.cli", "gen", "--agents", "2",
-         "--items", "3", "--seed", "5"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert [a["id"] for a in doc["agents"]] == ["a1", "a2"]
+@pytest.mark.parametrize("argv", [
+    ["gen", "--agents", "2", "--items", "3", "--seed", "5"],
+    ["solve", "fixtures/chores_blocks.json", "--root-rule", "one-item"],
+], ids=["gen", "usage-error"])
+def test_module_entry_point_runs(argv):
+    # a fresh interpreter: exit 0 with a document, or exit 2 with nothing
+    # on stdout and one {"error": ...} line on stderr
+    proc = subprocess.run([sys.executable, "-m", "fairdiv.cli", *argv],
+                          capture_output=True, text=True, cwd=FIXTURES.parent)
+    if argv[0] == "gen":
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert [a["id"] for a in doc["agents"]] == ["a1", "a2"]
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"], lines

@@ -5,7 +5,6 @@ import pytest
 
 from fairdiv.core import (
     ConsumptionGraph,
-    Cycle,
     FractionalAllocation,
     Instance,
     IntegralAllocation,
@@ -16,7 +15,16 @@ from fairdiv.core import (
     proportional_share,
     utilities,
 )
-from helpers import blend, fraction_matrix, rand_fractional, rand_instance, union_find_is_forest
+from helpers import (
+    blend,
+    fraction_matrix,
+    graph_edges,
+    oracle_closing_edge,
+    oracle_components,
+    rand_fractional,
+    rand_instance,
+    to_fractional,
+)
 
 
 def test_weights_normalize_at_construction():
@@ -131,7 +139,7 @@ def test_utility_fractional_and_integral_agree():
     inst = Instance([[3, -1, 2], [0, 4, 1]])
     integral = IntegralAllocation(2, (0, 1, 0))
     assert utilities(inst, integral) == (5, 4)
-    assert utilities(inst, integral.to_fractional()) == utilities(inst, integral)
+    assert utilities(inst, to_fractional(integral)) == utilities(inst, integral)
 
 
 def test_utility_is_linear_in_the_allocation():
@@ -200,8 +208,7 @@ def test_find_cycle_on_two_shared_items():
         (Fraction(1, 2), Fraction(1, 2)),
         (Fraction(1, 2), Fraction(1, 2)),
     ))
-    cyc = find_cycle(consumption_graph(x))
-    assert cyc == Cycle(agents=(0, 1), items=(0, 1))
+    assert find_cycle(consumption_graph(x)) == (1, 1)
 
 
 def test_find_cycle_none_on_tree():
@@ -220,24 +227,19 @@ def test_find_cycle_is_deterministic():
         assert find_cycle(g) == find_cycle(g)
 
 
-def test_find_cycle_agrees_with_union_find():
+def test_find_cycle_agrees_with_the_bfs_oracle():
     rng = random.Random(13)
     for _ in range(200):
         n, m = rng.randint(1, 5), rng.randint(1, 6)
         x = rand_fractional(rng, n, m)
         g = consumption_graph(x)
-        cyc = find_cycle(g)
-        assert (cyc is None) == union_find_is_forest(g)
-        if cyc is not None:
-            # the reported cycle must consist of real edges: items[t] joins
-            # agents[t] to the next agent round the cycle
-            k = len(cyc.agents)
-            for t, o in enumerate(cyc.items):
-                assert x.fractions[cyc.agents[t]][o] > 0
-                assert x.fractions[cyc.agents[(t + 1) % k]][o] > 0
-            assert len(set(cyc.agents)) == len(cyc.agents)
-            assert len(set(cyc.items)) == len(cyc.items)
-            assert cyc.agents[0] == min(cyc.agents)
+        edge = find_cycle(g)
+        assert edge == oracle_closing_edge(g)
+        # a graph is a forest iff |E| = |V| - components over its touched vertices
+        touched, components = oracle_components(g)
+        assert (edge is None) == (len(graph_edges(g)) == touched - components)
+        if edge is not None:
+            assert x.fractions[edge[0]][edge[1]] > 0
 
 
 def _graph(n, item_agents):
@@ -246,21 +248,19 @@ def _graph(n, item_agents):
     return ConsumptionGraph(agent_items, tuple(item_agents))
 
 
-@pytest.mark.parametrize("n, item_agents, cycle", [
+@pytest.mark.parametrize("n, item_agents, edge", [
     # every agent shares every item
-    (3, [(0, 1, 2)] * 3, Cycle(agents=(0, 1), items=(0, 1))),
+    (3, [(0, 1, 2)] * 3, (1, 1)),
     # agent 0's tree is acyclic; the next tree has two cycles through agent 3
-    (6, [(0, 1), (1, 2), (3, 4), (3, 4), (3, 5), (4, 5)],
-     Cycle(agents=(3, 4), items=(2, 3))),
-    # the search closes the 4-agent cycle before the 2-agent one on items 0, 3
-    (4, [(0, 1), (1, 2), (2, 3), (0, 1), (0, 3)],
-     Cycle(agents=(0, 1, 2, 3), items=(0, 1, 2, 4))),
+    (6, [(0, 1), (1, 2), (3, 4), (3, 4), (3, 5), (4, 5)], (4, 3)),
+    # agent 1's third item closes the 2-agent cycle on items 0, 3 before
+    # agent 3 closes the 4-agent one
+    (4, [(0, 1), (1, 2), (2, 3), (0, 1), (0, 3)], (1, 3)),
     # every pair of four agents shares an item
-    (4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)],
-     Cycle(agents=(1, 2, 3), items=(1, 2, 4))),
+    (4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)], (2, 3)),
 ], ids=["complete", "second-tree", "long-first", "all-pairs"])
-def test_find_cycle_returns_the_first_cycle_the_search_closes(n, item_agents, cycle):
-    assert find_cycle(_graph(n, item_agents)) == cycle
+def test_find_cycle_returns_the_first_cycle_the_search_closes(n, item_agents, edge):
+    assert find_cycle(_graph(n, item_agents)) == edge
 
 
 def test_empty_item_set_has_empty_graph():

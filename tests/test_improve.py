@@ -50,7 +50,8 @@ def test_welfare_lp_single_item_two_agents():
 
 @pytest.mark.parametrize("rows, assignment, message", [
     # both agents share both items: a cycle, all values positive
-    (((1, 1), (1, 1)), (F(1, 2), F(1, 2), F(1, 2), F(1, 2)), "cycle"),
+    (((1, 1), (1, 1)), (F(1, 2), F(1, 2), F(1, 2), F(1, 2)),
+     "along a cycle closed by agent 1 and item 1$"),
     # a forest, but item 0 is shared by two agents that value it at zero
     (((0, 1, 0), (0, 0, 1)), (F(1, 2), 1, 0, F(1, 2), 0, 1), "sign"),
 ], ids=["cycle", "zero-shared"])

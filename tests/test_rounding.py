@@ -26,6 +26,7 @@ from helpers import (
     oracle_round,
     rand_instance,
     rand_sharing_forest,
+    to_fractional,
 )
 
 F = Fraction
@@ -71,7 +72,7 @@ def test_zero_resolution_requires_unanimous_zero(monkeypatch):
 
 def test_unshared_zero_valued_item_is_untouched(monkeypatch):
     inst = Instance(((0, 2), (1, 1)))
-    x = IntegralAllocation(2, (0, 1)).to_fractional()
+    x = to_fractional(IntegralAllocation(2, (0, 1)))
     assert round_acyclic(inst, x) == IntegralAllocation(2, (0, 1))
     _lp_returns(monkeypatch, x)
     improved, _ = improve_to_acyclic_fpo(inst)
@@ -86,7 +87,8 @@ def test_round_rejects_cyclic_sharing():
     inst = Instance(((1, 1), (1, 1)))
     half = F(1, 2)
     x = FractionalAllocation(((half, half), (half, half)))
-    with pytest.raises(ValueError, match="cycle"):
+    with pytest.raises(ValueError, match="^allocation shares items along a cycle closed by "
+                                         "agent 1 and item 1; improve it first$"):
         round_acyclic(inst, x)
 
 
@@ -106,7 +108,7 @@ def test_round_rejects_zero_valued_shared_item():
 
 def test_round_rejects_shape_mismatch():
     inst = Instance(((1, 2), (3, 4)))
-    x = IntegralAllocation(2, (0,)).to_fractional()
+    x = to_fractional(IntegralAllocation(2, (0,)))
     with pytest.raises(ValueError):
         round_acyclic(inst, x)
 
@@ -117,7 +119,7 @@ def test_round_of_integral_input_is_identity():
         inst = rand_instance(rng, rng.randint(2, 4), rng.randint(1, 6))
         owners = tuple(rng.randrange(inst.num_agents) for _ in inst.items)
         x = IntegralAllocation(inst.num_agents, owners)
-        assert round_acyclic(inst, x.to_fractional()).owners == owners
+        assert round_acyclic(inst, to_fractional(x)).owners == owners
 
 
 # ---------------------------------------------------------------------------

@@ -47,5 +47,11 @@ def test_traced_cli_prints_the_goldens_and_restores_the_program():
     for details in lp_details:
         assert set(details) == {"vars", "rows", "bits"}
         assert details["vars"] > 0 and details["rows"] > 0
+    # the solve looks for a cycle on the improvement LP's vertex and again
+    # before rounding it, so both bindings of core.find_cycle are timed
+    solve_op = list(TRACED_CASES).index("solve-goods_blocks")
+    cycle_callers = {tracer.spans[parent][0] for name, _, _, parent, op, _ in tracer.spans
+                     if name == "core.find_cycle" and op == solve_op}
+    assert cycle_callers == {"improve.improve_to_acyclic_fpo", "rounding.round_acyclic"}
     for box, key, original in originals:
         assert spans._get(box, key) is original, key
