@@ -31,6 +31,11 @@ from fairdiv.core import (
 )
 from fairdiv.lp import OPTIMAL, LpProblem, LpSolution, solve
 
+# The improvement LP's dense tableau has n + m rows and at most nm + 2n + m + 1
+# columns: the variables, a slack and an artificial per agent row, an
+# artificial per item row, and the right-hand side.
+MAX_TABLEAU_CELLS = 10_000_000
+
 
 def proportional_seed(instance: Instance) -> FractionalAllocation:
     """The allocation x[i][o] = b_i: everyone consumes their entitlement of
@@ -95,7 +100,15 @@ def improve_to_acyclic_fpo(instance: Instance) -> tuple:
 
     Both facts are checked on the returned vertex; a failure raises
     InvariantViolation, since it could only come from a solver bug.
+
+    Raises ValueError, before building anything, when the LP's tableau
+    would exceed MAX_TABLEAU_CELLS.
     """
+    n, m = instance.num_agents, instance.num_items
+    cells = (n + m) * (n * m + 2 * n + m + 1)
+    if cells > MAX_TABLEAU_CELLS:
+        raise ValueError(f"a {n}x{m} instance needs {cells} LP tableau cells, "
+                         f"over the limit {MAX_TABLEAU_CELLS}")
     solution = solve(dominance_welfare_lp(instance, proportional_seed(instance)))
     if solution.status != OPTIMAL:
         # the baseline itself is feasible and the polytope is bounded

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairdiv import allocate, cli, lp, serialize, verify
+from fairdiv import allocate, cli, improve, lp, serialize, verify
 from fairdiv.cli import main
 from fairdiv.core import Instance, IntegralAllocation
 from fairdiv.serialize import (
@@ -20,8 +20,15 @@ from fairdiv.serialize import (
     parse_rational,
     print_allocation,
     print_instance,
+    report_doc,
 )
-from helpers import fraction_matrix
+from helpers import (
+    fraction_matrix,
+    oracle_pareto_dominates,
+    oracle_propx,
+    oracle_weighted_prop,
+    oracle_weighted_prop1,
+)
 from test_golden import GOLDEN, recorded
 from test_golden import run as run_golden
 
@@ -576,6 +583,55 @@ def test_verify_po_on_thousands_of_items(capsys, tmp_path):
     assert out == {"properties": {"po": {"holds": True}}, "allHold": True}
 
 
+def test_verify_50x4000_matches_the_oracles(capsys, tmp_path):
+    # Item j goes to an argmax of (i + 1) * u_i(j), so the low-index agents
+    # fall short and need the add-item scan, and the weights lambda_i = i + 1
+    # certify fpo whatever the checker does.
+    _, doc, _ = run_cli(capsys, "gen", "--agents", "50", "--items", "4000", "--seed", "3")
+    inst = tmp_path / "big.json"
+    inst.write_text(json.dumps(doc))
+    agent_ids, item_ids = [a["id"] for a in doc["agents"]], doc["items"]
+    u = [[int(v) for v in row] for row in doc["utilities"]]  # gen writes integers
+    instance = Instance(u, [F(a["weight"]) for a in doc["agents"]])
+
+    def allocation_file(name, owners):
+        path = tmp_path / name
+        path.write_text(json.dumps({"owner": {o: agent_ids[i] for o, i in zip(item_ids, owners)}}))
+        return str(path)
+
+    owners = [max(range(50), key=lambda i: (i + 1) * u[i][j]) for j in range(4000)]
+    alloc = allocation_file("alloc.json", owners)
+    code, out, _ = run_cli(capsys, "verify", str(inst), alloc,
+                           "--property", "prop,prop1,propx,fpo")
+    allocation = IntegralAllocation(50, tuple(owners))
+    oracles = {"prop": oracle_weighted_prop, "prop1": oracle_weighted_prop1,
+               "propx": oracle_propx}
+    for name, oracle in oracles.items():
+        want = report_doc(oracle(instance, allocation), agent_ids, item_ids)
+        assert out["properties"][name] == want, name
+    assert out["properties"]["fpo"] == {"holds": True}
+    assert out["allHold"] == all(p["holds"] for p in out["properties"].values())
+    assert code == (0 if out["allHold"] else 1)
+
+    # dominates, both ways, against a copy in which each of the first 40
+    # items that the next agent does not value moves there from an owner
+    # that does
+    moved, count = list(owners), 0
+    for j, a in enumerate(owners):
+        b = (a + 1) % 50
+        if count < 40 and u[a][j] > 0 >= u[b][j]:
+            moved[j], count = b, count + 1
+    assert count == 40
+    files = [(allocation, alloc),
+             (IntegralAllocation(50, tuple(moved)), allocation_file("moved.json", moved))]
+    for (better, better_file), (worse, worse_file) in (files, files[::-1]):
+        code, out, err = run_cli(capsys, "verify", str(inst), better_file,
+                                 "--property", "dominates", "--against", worse_file)
+        want = oracle_pareto_dominates(instance, better, worse)
+        assert out == {"properties": {"dominates": {"holds": want}}, "allHold": want}
+        assert (code, err) == (0 if want else 1, "")
+
+
 def test_verify_unknown_property(capsys):
     code, _, err = run_cli(capsys, "verify", fixture("goods_blocks"),
                            fixture("goods_blocks_x"), "--property", "ef1")
@@ -637,14 +693,44 @@ def test_gen_rejects_bad_parameters(capsys):
 
 
 def test_gen_solve_pipeline(capsys, tmp_path):
-    code, doc, _ = run_cli(capsys, "gen", "--agents", "3", "--items", "4",
-                           "--weight-mode", "random-positive-normalized",
-                           "--seed", "17")
-    path = tmp_path / "generated.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run_cli(capsys, "solve", str(path))
-    assert code == 0
-    assert set(out["allocation"]) == {"o1", "o2", "o3", "o4"}
+    # gen, solve, and verify of the solved allocation, fpo included
+    inst, alloc = tmp_path / "generated.json", tmp_path / "solved.json"
+    for gen in (["--agents", "3", "--items", "4",
+                 "--weight-mode", "random-positive-normalized", "--seed", "17"],
+                ["--agents", "12", "--items", "60", "--seed", "1"]):
+        _, doc, _ = run_cli(capsys, "gen", *gen)
+        inst.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "solve", str(inst))
+        assert code == 0
+        assert set(out["allocation"]) == set(doc["items"])
+        alloc.write_text(json.dumps({"owner": out["allocation"]}))
+        code, out, _ = run_cli(capsys, "verify", str(inst), str(alloc),
+                               "--property", "prop1,fpo")
+        assert (code, out["allHold"]) == (0, True)
+
+
+def test_solve_refuses_an_lp_over_the_tableau_limit(capsys, monkeypatch, tmp_path):
+    def must_not_run(*args):
+        raise AssertionError("the improvement LP is built although it exceeds the limit")
+
+    monkeypatch.setattr(improve, "proportional_seed", must_not_run)
+    inst, _ = _zero_instance_files(tmp_path, 50, 4000)
+    code = main(["solve", inst])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [json.dumps(
+        {"error": "a 50x4000 instance needs 826609050 LP tableau cells, over the limit 10000000"})]
+
+
+def test_solve_tableau_limit_admits_exactly_its_cells(monkeypatch):
+    # identical_items has 3 agents and 5 items: (3 + 5) * (15 + 6 + 5 + 1) cells
+    argv = ["solve", "fixtures/identical_items.json"]
+    monkeypatch.setattr(improve, "MAX_TABLEAU_CELLS", 216)
+    golden = (GOLDEN / "solve-identical_items.stdout").read_text("utf-8")
+    assert run_golden(argv) == (0, golden, "")
+    monkeypatch.setattr(improve, "MAX_TABLEAU_CELLS", 215)
+    error = {"error": "a 3x5 instance needs 216 LP tableau cells, over the limit 215"}
+    assert run_golden(argv) == (2, "", json.dumps(error) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -712,3 +798,21 @@ def test_module_entry_point_runs(argv):
         assert (proc.returncode, proc.stdout) == (2, "")
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"], lines
+
+
+@pytest.mark.parametrize("name", recorded())
+def test_module_entry_point_prints_the_goldens(name):
+    # every golden case, verify's exits 1 and 2 included, in its own
+    # interpreter: stdout, stderr and exit code
+    golden = recorded()[name]
+    proc = subprocess.run([sys.executable, "-m", "fairdiv.cli", *golden["argv"]],
+                          capture_output=True, encoding="utf-8", cwd=FIXTURES.parent)
+    want = (golden["exit"], golden["stderr"], (GOLDEN / f"{name}.stdout").read_text("utf-8"))
+    assert (proc.returncode, proc.stderr, proc.stdout) == want
+
+
+def test_workflow_runs_no_inline_scripts():
+    # a check in a workflow script runs only in CI; tier-1 runs everywhere.
+    # A plain-text scan, since CI installs no YAML parser.
+    workflow = FIXTURES.parent / ".github" / "workflows" / "tier1.yml"
+    assert "<<" not in workflow.read_text("utf-8")

@@ -271,20 +271,40 @@ def _doc(utilities, weights=None):
 _BIG = 10 ** 9
 
 
+def _repeating_50x4000_rows() -> tuple:
+    # row i draws its 4000 entries from 60 values over the i-th of eight
+    # denominators: JSON integers, integer strings and p/q strings mixed
+    rng = random.Random(11)
+    dens = [(1, 2, 3, 4, 6, 12, 5, 7)[i % 8] for i in range(50)]
+    utilities = []
+    for den in dens:
+        pool = []
+        for _ in range(60):
+            k = rng.randint(-9 * den, 9 * den)
+            if k % den or rng.random() < 0.3:
+                pool.append(f"{k}/{den}")
+            else:
+                pool.append(rng.choice([k // den, str(k // den)]))
+        utilities.append([rng.choice(pool) for _ in range(4000)])
+    return utilities, dens
+
+
 def test_table_reduces_each_row_to_its_own_denominator():
     # the document's lcm is 12; the all-integer row must come out over 1
     # and the row of halves over 2, each with gcd(d, *N) == 1
     ints = [_BIG, str(_BIG), -3, "-3", 0, "0", str(-_BIG), -_BIG] * 3
     twelfths = [f"{_BIG}/12", "-5/12", "1/3", 4, "4", "1/2", "-7/6", -_BIG] * 3
     halves = [f"{_BIG + 1}/2", "1/2", -3, "-3", str(_BIG), "2/4", "0", 0] * 3
-    utilities = [ints, twelfths, halves, ints]
-    doc = _doc(utilities)
-    assert _takes_table(doc)
-    instance, _, _ = parse_instance(doc)
-    assert [d for d, _ in instance.integer_rows] == [1, 12, 2, 1]
-    assert instance.integer_rows == _instance_of_parse_rational(utilities).integer_rows
-    for row, (_, scaled) in zip(utilities, instance.integer_rows):
-        assert len({id(v) for v in scaled}) <= len(set(row))
+    mixed = [ints, twelfths, halves, ints], [1, 12, 2, 1]
+    for utilities, denominators in (mixed, _repeating_50x4000_rows()):
+        doc = _doc(utilities)
+        assert _takes_table(doc)
+        instance, _, _ = parse_instance(doc)
+        assert [d for d, _ in instance.integer_rows] == denominators
+        want = Instance([[Fraction(v) for v in row] for row in utilities])
+        assert instance.integer_rows == want.integer_rows
+        for row, (_, scaled) in zip(utilities, instance.integer_rows):
+            assert len({id(v) for v in scaled}) <= len(set(row))
 
 
 @pytest.mark.parametrize("hidden,among", [(True, 1), (False, 0)], ids=["true", "false"])
