@@ -16,10 +16,9 @@ import os
 import random
 import reprlib
 import sys
-from fractions import Fraction
 
 from fairdiv import verify
-from fairdiv.core import EnumerationCapExceeded, InvariantViolation
+from fairdiv.core import EnumerationCapExceeded, Instance, InvariantViolation
 from fairdiv.rounding import allocate
 from fairdiv.serialize import (
     format_rational,
@@ -27,6 +26,7 @@ from fairdiv.serialize import (
     parse_instance,
     print_allocation,
     print_fractional,
+    print_instance,
     report_doc,
 )
 
@@ -49,10 +49,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         _error(str(exc))
         return EXIT_INTERNAL_ERROR
-    except EnumerationCapExceeded as exc:
-        _error(str(exc))
-        return EXIT_INPUT_ERROR
-    except (ValueError, OSError) as exc:
+    except (EnumerationCapExceeded, ValueError, OSError) as exc:
         _error(str(exc))
         return EXIT_INPUT_ERROR
     except Exception as exc:  # a bug: report it and where it was raised, not a traceback
@@ -177,18 +174,14 @@ def _cmd_gen(args) -> int:
     if args.lo > args.hi:
         raise ValueError("empty utility range")
     rng = random.Random(args.seed)
-    if args.weight_mode == "equal":
-        weights = [Fraction(1, args.agents)] * args.agents
-    else:
-        raw = [rng.randint(1, 9) for _ in range(args.agents)]
-        weights = [Fraction(r, sum(raw)) for r in raw]
-    _emit({
-        "agents": [{"id": f"a{i + 1}", "weight": format_rational(w)}
-                   for i, w in enumerate(weights)],
-        "items": [f"o{j + 1}" for j in range(args.items)],
-        "utilities": [[str(rng.randint(args.lo, args.hi)) for _ in range(args.items)]
-                      for _ in range(args.agents)],
-    })
+    # the instance normalizes raw weights to sum 1; None reads as equal weights
+    weights = (None if args.weight_mode == "equal"
+               else [rng.randint(1, 9) for _ in range(args.agents)])
+    rows = [(1, [rng.randint(args.lo, args.hi) for _ in range(args.items)])
+            for _ in range(args.agents)]
+    _emit(print_instance(Instance.from_integer_rows(rows, weights),
+                         [f"a{i + 1}" for i in range(args.agents)],
+                         [f"o{j + 1}" for j in range(args.items)]))
     return EXIT_OK
 
 

@@ -24,10 +24,6 @@ from fairdiv.verify import AgentWitness, PropertyReport
 MAX_RATIONAL_CHARS = 1000
 MAX_DECIMAL_EXPONENT = 1000
 _INT_LIMIT = 10 ** MAX_RATIONAL_CHARS
-# A utilities matrix with fewer entries, or fewer than two columns, is read
-# entry by entry: a table's set-up would cost more than the repeated reads
-# it saves, and itemgetter of one key returns the value, not a tuple.
-_TABLE_MIN_ENTRIES = 40
 _TABLE_TYPES = {int, str}
 # Fraction's string grammar as of Python 3.10. Later versions accept more
 # (underscores between digits from 3.11, spaces around "/" from 3.12), so
@@ -47,54 +43,48 @@ def parse_rational(value) -> Fraction:
     most MAX_DECIMAL_EXPONENT in magnitude. A JSON integer has at most
     MAX_RATIONAL_CHARS digits.
     """
-    if isinstance(value, str):
-        return _parse_rational_text(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        if not -_INT_LIMIT < value < _INT_LIMIT:
-            raise ValueError(f"integer has more than {MAX_RATIONAL_CHARS} digits")
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ValueError(
-            f'floating-point value {value!r} is not exact; write it as a string like "3/10"')
-    raise ValueError(f"expected a rational string, got {reprlib.repr(value)}")
-
-
-def _parse_rational_text(text: str) -> Fraction:
-    if len(text) > MAX_RATIONAL_CHARS:
-        raise ValueError(f"rational string longer than {MAX_RATIONAL_CHARS} characters")
-    try:
-        match = _RATIONAL.fullmatch(text)
-        if match:
-            if match["exp"] and abs(int(match["exp"])) > MAX_DECIMAL_EXPONENT:
-                raise ValueError(
-                    f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT}")
-            return Fraction(text)
-    except ZeroDivisionError:
-        pass
-    raise ValueError(f"cannot parse rational {text!r}")
+    return Fraction(*_ratio(value))
 
 
 def _ratio(value) -> tuple:
     """``parse_rational(value)`` as a lowest-terms ``(numerator, denominator)``
-    pair. A JSON integer and the plain strings ``-?[0-9]+`` and
-    ``-?[0-9]+/[0-9]+`` are read without building a ``Fraction``; anything
-    else goes through ``parse_rational``, with its bounds and errors."""
-    if type(value) is int:
-        if -_INT_LIMIT < value < _INT_LIMIT:
-            return value, 1
-    elif type(value) is str and len(value) <= MAX_RATIONAL_CHARS and value.isascii():
+    pair: the one reader of a rational. The plain strings ``-?[0-9]+`` and
+    ``-?[0-9]+/[0-9]+`` are read straight into two integers; any other
+    string that passes the bounds is held to the grammar, then read by
+    ``Fraction``."""
+    if isinstance(value, str):
+        if len(value) > MAX_RATIONAL_CHARS:
+            raise ValueError(f"rational string longer than {MAX_RATIONAL_CHARS} characters")
         # isdigit() alone would also pass non-ASCII digits, superscripts included
-        num, slash, den = value.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit():
-            if not slash:
-                return int(num), 1
-            if den.isdigit():
-                p, q = int(num), int(den)
-                if q:
+        if value.isascii():
+            num, slash, den = value.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdigit():
+                if not slash:
+                    return int(num), 1
+                if den.isdigit() and (q := int(den)):
+                    p = int(num)
                     g = gcd(p, q)
                     return p // g, q // g
-    f = parse_rational(value)
-    return f.numerator, f.denominator
+        match = _RATIONAL.fullmatch(value)
+        if match:
+            if match["exp"] and abs(int(match["exp"])) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT}")
+            try:
+                f = Fraction(value)
+            except ZeroDivisionError:
+                pass
+            else:
+                return f.numerator, f.denominator
+        raise ValueError(f"cannot parse rational {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        if not -_INT_LIMIT < value < _INT_LIMIT:
+            raise ValueError(f"integer has more than {MAX_RATIONAL_CHARS} digits")
+        return int(value), 1
+    if isinstance(value, float):
+        raise ValueError(
+            f'floating-point value {value!r} is not exact; write it as a string like "3/10"')
+    raise ValueError(f"expected a rational string, got {reprlib.repr(value)}")
 
 
 def _table_rows(utilities: list, num_items: int):
@@ -102,14 +92,15 @@ def _table_rows(utilities: list, num_items: int):
     ``[_ratio(v) for v in row]``, read through one table of the document's
     distinct values, or None when the matrix does not suit a table.
 
-    It suits one when it has at least _TABLE_MIN_ENTRIES entries and two
-    columns, all JSON integers and strings, and repeats itself: every
-    leading block of rows holds at least two entries per distinct value,
-    as valuation tables drawn from a small scale do. Each row is mapped
-    through the table in one C-level pass, so it holds one int object per
-    distinct value. The table holds every value read so far, scaled to the
-    lcm ``L`` of their denominators; a row that meets a value not in it
-    has its new values read and added first, and ``L`` grows with them.
+    It suits one when it has two columns or more, all JSON integers and
+    strings, and repeats itself: every leading block of rows holds at
+    least two entries per distinct value, as valuation tables drawn from a
+    small scale do. (With one column, itemgetter of one key would return
+    the value, not a tuple.) Each row is mapped through the table in one
+    C-level pass, so it holds one int object per distinct value. The table
+    holds every value read so far, scaled to the lcm ``L`` of their
+    denominators; a row that meets a value not in it has its new values
+    read and added first, and ``L`` grows with them.
     Row i's own lcm ``d_i`` divides the ``L`` it is mapped over, and its
     canonical row has ``gcd(d_i, *N_i) == 1``, so the mapped row is ``N_i``
     times ``g = gcd(L, *mapped) = L // d_i``.
@@ -121,7 +112,7 @@ def _table_rows(utilities: list, num_items: int):
     than MAX_RATIONAL_CHARS digits: rows read apart keep their own smaller
     denominators, where the table would hold every value scaled to ``L``.
     """
-    if len(utilities) * num_items < _TABLE_MIN_ENTRIES or num_items < 2:
+    if num_items < 2:
         return None
     scale, lcd = {}, 1
     rows = []
@@ -224,8 +215,9 @@ def print_instance(instance: Instance, agent_ids, item_ids) -> dict:
             for a, w in zip(agent_ids, instance.weights)
         ],
         "items": list(item_ids),
-        "utilities": [[format_rational(Fraction(v, d)) for v in row]
-                      for d, row in instance.integer_rows],
+        # a row over d = 1 holds the values themselves
+        "utilities": [[format_rational(Fraction(v, d)) for v in row] if d > 1
+                      else list(map(str, row)) for d, row in instance.integer_rows],
     }
 
 

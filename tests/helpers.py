@@ -10,6 +10,7 @@ section comment says why that is sound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import defaultdict, deque
@@ -37,9 +38,11 @@ def to_fractional(allocation: IntegralAllocation) -> FractionalAllocation:
     return FractionalAllocation(tuple(map(tuple, rows)))
 
 
+@functools.lru_cache(maxsize=16)
 def fraction_matrix(instance: Instance) -> tuple:
     """The utility matrix as ``Fraction``s: ``u_i(o) = N_i[o] / d_i`` read
-    off each integer row ``(d_i, N_i)``."""
+    off each integer row ``(d_i, N_i)``. Built once per instance: the
+    oracles each ask for it, and the matrix is immutable."""
     return tuple(tuple(Fraction(v, d) for v in row) for d, row in instance.integer_rows)
 
 

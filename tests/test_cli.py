@@ -23,7 +23,15 @@ from fairdiv.serialize import (
     report_doc,
 )
 from helpers import (
+    CHORES_BLOCKS_X,
+    CHORES_BLOCKS_Y,
+    GOODS_BLOCKS_X,
+    GOODS_BLOCKS_Y,
+    IDENTICAL_ITEMS_BALANCED,
+    chores_blocks_instance,
     fraction_matrix,
+    goods_blocks_instance,
+    identical_items_instance,
     oracle_pareto_dominates,
     oracle_propx,
     oracle_weighted_prop,
@@ -274,6 +282,26 @@ def test_verify_rejects_non_string_owner(capsys, tmp_path):
         assert code == 2
         assert out is None
         assert "agent id string" in json.loads(err)["error"]
+
+
+def test_canonical_literals_match_their_fixtures():
+    # tests/helpers.py writes the canonical instances and allocations as
+    # literals; fixtures/ holds them as files. Every fixture is one of them.
+    literals = {
+        "goods_blocks": (goods_blocks_instance(), {"x": GOODS_BLOCKS_X, "y": GOODS_BLOCKS_Y}),
+        "chores_blocks": (chores_blocks_instance(),
+                          {"x": CHORES_BLOCKS_X, "y": CHORES_BLOCKS_Y}),
+        "identical_items": (identical_items_instance(),
+                            {"balanced": IDENTICAL_ITEMS_BALANCED}),
+    }
+    names = {f"{name}_{suffix}" for name, (_, allocs) in literals.items() for suffix in allocs}
+    assert {p.stem for p in FIXTURES.glob("*.json")} == names | literals.keys()
+    for name, (instance, allocations) in literals.items():
+        got, agent_ids, item_ids = parse_instance(json.loads(Path(fixture(name)).read_text()))
+        assert got == instance, name
+        for suffix, allocation in allocations.items():
+            doc = json.loads(Path(fixture(f"{name}_{suffix}")).read_text())
+            assert parse_allocation(doc, agent_ids, item_ids) == allocation, suffix
 
 
 # ---------------------------------------------------------------------------
@@ -816,3 +844,35 @@ def test_workflow_runs_no_inline_scripts():
     # A plain-text scan, since CI installs no YAML parser.
     workflow = FIXTURES.parent / ".github" / "workflows" / "tier1.yml"
     assert "<<" not in workflow.read_text("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+README = FIXTURES.parent / "README.md"
+
+
+def _readme_block(after: str, lang: str) -> str:
+    """The first ``lang`` code block in README.md after the text ``after``."""
+    text = README.read_text("utf-8")
+    start = text.index(f"```{lang}\n", text.index(after)) + len(lang) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_examples_give_the_outputs_shown(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(_readme_block("With `instance.json` as", "json"))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, err) == (0, "")
+    assert out == json.loads(_readme_block("the output is", "json"))
+
+    # each commented line of the library snippet shows the value of its code
+    snippet = _readme_block("## Library", "python")
+    namespace = {}
+    exec(snippet, namespace)
+    shown = [line.split("#") for line in snippet.splitlines() if "#" in line]
+    assert [value.strip() for _, value in shown] == [
+        "((0, 1), (2,))", "(Fraction(1, 1), Fraction(1, 1))", "True"]
+    for code_text, value in shown:
+        assert eval(code_text, namespace) == eval(value, {"Fraction": Fraction})

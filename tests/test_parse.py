@@ -9,6 +9,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -223,10 +224,20 @@ _PLAIN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 @example("-0/7")
 @example("4/0")
 def test_plain_strings_are_read_without_parse_rational(text):
-    """_ratio reads exactly the ASCII strings -?[0-9]+(/[0-9]+)? with a
-    nonzero denominator itself, and gives parse_rational's value or error
-    on every string."""
-    with mock.patch.object(serialize, "parse_rational", wraps=parse_rational) as slow:
+    """_ratio gives parse_rational's value or error on every string, and
+    builds no Fraction from the text exactly when it is an ASCII string
+    -?[0-9]+(/[0-9]+)? with a nonzero denominator. Any other string the
+    grammar admits is read by one Fraction; the rest are refused before
+    any is built."""
+    from_text = []
+    real_fraction = serialize.Fraction
+
+    def spy(*args):
+        if isinstance(args[0], str):
+            from_text.append(args[0])
+        return real_fraction(*args)
+
+    with mock.patch.object(serialize, "Fraction", spy):
         try:
             got = _ratio(text)
         except ValueError as exc:
@@ -237,8 +248,11 @@ def test_plain_strings_are_read_without_parse_rational(text):
     except ValueError as exc:
         expected = ("error", str(exc))
     assert got == expected
+    if got[0] != "error":
+        assert Fraction(text) == Fraction(*got) and gcd(*got) == 1 and got[1] > 0
     plain = _PLAIN.fullmatch(text)
-    assert slow.called == (not plain or plain[1] is not None and int(plain[1][1:]) == 0)
+    fast = plain is not None and (plain[1] is None or int(plain[1][1:]) != 0)
+    assert from_text == ([] if fast or not serialize._RATIONAL.fullmatch(text) else [text])
 
 
 # ---------------------------------------------------------------------------
