@@ -29,7 +29,7 @@ from fairdiv.core import (
     find_cycle,
     utilities,
 )
-from fairdiv.lp import OPTIMAL, LpProblem, LpSolution, solve
+from fairdiv.lp import LpProblem, solve
 
 # The improvement LP's dense tableau has n + m rows and at most nm + 2n + m + 1
 # columns: the variables, a slack and an artificial per agent row, an
@@ -110,18 +110,9 @@ def improve_to_acyclic_fpo(instance: Instance) -> tuple:
         raise ValueError(f"a {n}x{m} instance needs {cells} LP tableau cells, "
                          f"over the limit {MAX_TABLEAU_CELLS}")
     solution = solve(dominance_welfare_lp(instance, proportional_seed(instance)))
-    if solution.status != OPTIMAL:
-        # the baseline itself is feasible and the polytope is bounded
-        raise InvariantViolation(f"improvement LP reported {solution.status}")
-    x = _as_allocation(instance, solution)
+    x = FractionalAllocation(tuple(solution.assignment[i * m:(i + 1) * m] for i in range(n)))
     _check_shared_items_same_sign(instance, x)
-    return x, tuple(1 - pi for pi in solution.duals[:instance.num_agents])
-
-
-def _as_allocation(instance: Instance, solution: LpSolution) -> FractionalAllocation:
-    n, m = instance.num_agents, instance.num_items
-    rows = tuple(tuple(solution.assignment[i * m + o] for o in range(m)) for i in range(n))
-    return FractionalAllocation(rows)
+    return x, tuple(1 - pi for pi in solution.duals[:n])
 
 
 def _check_shared_items_same_sign(instance: Instance, x: FractionalAllocation) -> None:

@@ -1,16 +1,26 @@
-"""Exact linear programming: two-phase simplex over rationals.
+"""Exact linear programming: the improvement LP's two-phase simplex over rationals.
 
-The solver maximizes a linear objective subject to <=, =, >= constraints with
-all variables nonnegative. Arithmetic is ``fractions.Fraction`` throughout, so
-optima are exact and equality of optimal values across related programs is
-decidable. Pivoting follows Bland's rule (lowest eligible index enters, ties
-in the ratio test broken by lowest basic index), which rules out cycling and
-makes the solver fully deterministic: a fixed problem always yields the same
-optimal basis, hence the same vertex.
+The one program solved is ``improve.dominance_welfare_lp``: maximize welfare
+with a ">=" row per agent (its baseline utility), an "=" row per item (fully
+allocated) and every variable nonnegative. Arithmetic is
+``fractions.Fraction`` throughout, so optima are exact. Pivoting follows
+Bland's rule (lowest eligible index enters, ties in the ratio test broken by
+lowest basic index), which rules out cycling and makes the solver fully
+deterministic: a fixed problem always yields the same optimal basis, hence
+the same vertex. That vertex is an extreme point of the feasible region,
+which the improvement stage relies on: extreme points of allocation
+polytopes have sparse support.
 
-The returned assignment is a basic feasible solution, i.e. an extreme point
-of the feasible region. The improvement stage relies on that: extreme points
-of allocation polytopes have sparse support.
+Three paths of a general simplex cannot run on that program, so each
+raises InvariantViolation:
+
+- phase 1 ending above 0 (no feasible point): the baseline allocation
+  meets every row;
+- no leaving row in phase 2 (unbounded): every ``x_io`` lies in [0, 1],
+  since ``sum_j x_jo = 1``;
+- after phase 1, a basic artificial whose row has no nonzero real column
+  (dependent rows): each agent row has its own slack, which no other row
+  touches, and the item rows have disjoint, nonempty supports.
 """
 
 from __future__ import annotations
@@ -20,19 +30,13 @@ from fractions import Fraction
 
 from fairdiv.core import InvariantViolation, as_fraction
 
-RELATIONS = ("<=", "=", ">=")
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
 
 @dataclass(frozen=True)
 class LpProblem:
     """max objective . x  subject to  constraints, x >= 0.
 
     Each constraint is a triple (coefficients, relation, rhs) with relation
-    one of "<=", "=", ">=". Nonnegativity of every variable is implicit.
+    ">=" or "=". Nonnegativity of every variable is implicit.
     """
 
     num_vars: int
@@ -48,7 +52,7 @@ class LpProblem:
             coeffs = tuple(as_fraction(c) for c in coeffs)
             if len(coeffs) != self.num_vars:
                 raise ValueError("constraint width must equal num_vars")
-            if rel not in RELATIONS:
+            if rel not in (">=", "="):
                 raise ValueError(f"unknown relation {rel!r}")
             rows.append((coeffs, rel, as_fraction(rhs)))
         object.__setattr__(self, "objective", obj)
@@ -57,45 +61,37 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Solver outcome.
+    """An optimal vertex: ``assignment`` attains ``value``.
 
-    For status "optimal", ``assignment`` is an extreme point attaining
-    ``value`` and ``basis`` holds the basic column indices: indices below
-    ``num_vars`` are problem variables, higher ones slack variables in
-    constraint order. ``duals`` holds one entry per constraint, in
-    ``problem.constraints`` order: for an inequality row, its shadow price
-    (the rate at which the optimal value moves with that row's rhs: >= 0 for
-    "<=" rows, <= 0 for ">=" rows), and None for "=" rows. The shadow prices
-    form an optimal dual solution, so complementary slackness ties them to
-    every optimal assignment. Otherwise value, assignment, basis and duals
-    are None.
+    ``duals`` holds one entry per constraint, in ``problem.constraints``
+    order: for a ">=" row, its shadow price (the rate at which the optimal
+    value moves with that row's rhs, <= 0), and None for an "=" row. The
+    shadow prices form an optimal dual solution, so complementary slackness
+    ties them to every optimal assignment.
     """
 
-    status: str
-    value: Fraction = None
-    assignment: tuple = None
-    basis: frozenset = None
-    duals: tuple = None
+    value: Fraction
+    assignment: tuple
+    duals: tuple
 
 
 def solve(problem: LpProblem) -> LpSolution:
     """Solve an LpProblem exactly; see module docstring for guarantees."""
-    tab, basic, slacks, n_struct, art_start = _standard_form(problem)
+    tab, basic, art_start = _standard_form(problem)
+    n_struct = problem.num_vars
 
-    has_artificials = any(b >= art_start for b in basic)
-    if has_artificials:
+    if any(b >= art_start for b in basic):
         cost1 = [Fraction(0)] * art_start + [Fraction(-1)] * (len(tab[0]) - 1 - art_start)
         obj = _reduced_costs(tab, basic, cost1)
         _run_simplex(tab, basic, obj)
         if obj[-1] != 0:
-            return LpSolution(status=INFEASIBLE)
+            raise InvariantViolation("the LP has no feasible point")
         _drive_out_artificials(tab, basic, art_start)
         tab = [row[:art_start] + [row[-1]] for row in tab]
 
     cost2 = list(problem.objective) + [Fraction(0)] * (art_start - n_struct)
     obj = _reduced_costs(tab, basic, cost2)
-    if not _run_simplex(tab, basic, obj):
-        return LpSolution(status=UNBOUNDED)
+    _run_simplex(tab, basic, obj)
 
     support = [(b, tab[r][-1]) for r, b in enumerate(basic) if b < n_struct and tab[r][-1]]
     assignment = [Fraction(0)] * n_struct
@@ -103,78 +99,48 @@ def solve(problem: LpProblem) -> LpSolution:
         assignment[j] = x
     value = sum((problem.objective[j] * x for j, x in support), Fraction(0))
     _recheck_feasible(problem, support)
-    return LpSolution(
-        status=OPTIMAL,
-        value=value,
-        assignment=tuple(assignment),
-        basis=frozenset(basic),
-        duals=_shadow_prices(obj, slacks),
-    )
-
-
-def _shadow_prices(obj, slacks) -> tuple:
-    """Shadow prices read off the final phase-2 objective row.
-
-    Every row operation keeps ``obj`` equal to ``cost - y . A`` for some
-    multipliers ``y`` on the original rows, and at optimality ``y`` is an
-    optimal dual solution. Slack column k appears only in row k, with
-    coefficient ``sign`` in the row's original orientation, so its reduced
-    cost is ``-sign * y_k``. Artificial columns are gone by phase 2, which
-    is why "=" rows get None.
-    """
-    return tuple(None if s is None else -s[1] * obj[s[0]] for s in slacks)
+    # Every row operation keeps obj equal to cost - y . A for some multipliers
+    # y on the original rows, and at optimality y is an optimal dual solution.
+    # A ">=" row's slack column has coefficient -1 in that row and 0 in every
+    # other, so its reduced cost is the row's y. Artificial columns are gone
+    # by phase 2, which is why "=" rows get None.
+    slack = iter(obj[n_struct:art_start])
+    duals = tuple(next(slack) if rel == ">=" else None for _, rel, _ in problem.constraints)
+    return LpSolution(value, tuple(assignment), duals)
 
 
 def _standard_form(problem: LpProblem):
-    """Equality tableau with rhs >= 0; slack basis where possible.
+    """Equality tableau with rhs >= 0 and its starting basis.
 
-    A ">=" row with nonpositive rhs is negated into a "<=" row so its slack
-    can start basic; artificials are introduced only for "=" rows and ">="
-    rows with positive rhs. ``slacks`` gives, per original row, its slack
-    column and that column's coefficient in the row as the problem states
-    it (+1 for "<=", -1 for ">="), or None for an "=" row.
+    The k-th ">=" row gets slack column ``num_vars + k``. A ">=" row with
+    nonpositive rhs is negated so its slack can start basic; every other
+    row gets an artificial column, numbered from ``art_start`` on, after
+    negation if its rhs is negative.
     """
-    rows = []
-    for coeffs, rel, rhs in problem.constraints:
-        coeffs = list(coeffs)
-        sign = -1 if rel == ">=" else 1
-        if rhs < 0 or (rhs == 0 and rel == ">="):
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((coeffs, rel, rhs, sign))
-
     n_struct = problem.num_vars
-    n_slack = sum(1 for _, rel, _, _ in rows if rel != "=")
-    art_rows = [r for r, (_, rel, _, _) in enumerate(rows) if rel != "<="]
-    art_start = n_struct + n_slack
-    width = art_start + len(art_rows) + 1
+    rows = problem.constraints
+    art_start = n_struct + sum(1 for _, rel, _ in rows if rel == ">=")
+    width = art_start + sum(1 for _, rel, rhs in rows if rel == "=" or rhs > 0) + 1
 
     tab = []
     basic = []
-    slacks = []
-    zero = Fraction(0)
     slack_col = n_struct
     art_col = art_start
-    for coeffs, rel, rhs, sign in rows:
-        row = coeffs + [zero] * (width - n_struct - 1) + [rhs]
-        slacks.append(None if rel == "=" else (slack_col, sign))
-        if rel == "<=":
-            row[slack_col] = Fraction(1)
-            basic.append(slack_col)
+    for coeffs, rel, rhs in rows:
+        flip = rhs < 0 or (rhs == 0 and rel == ">=")
+        row = [-c for c in coeffs] if flip else list(coeffs)
+        row += [Fraction(0)] * (width - n_struct - 1) + [-rhs if flip else rhs]
+        if rel == ">=":
+            row[slack_col] = Fraction(1 if flip else -1)
             slack_col += 1
-        elif rel == ">=":
-            row[slack_col] = Fraction(-1)
-            slack_col += 1
-            row[art_col] = Fraction(1)
-            basic.append(art_col)
-            art_col += 1
+        if rel == ">=" and flip:
+            basic.append(slack_col - 1)
         else:
             row[art_col] = Fraction(1)
             basic.append(art_col)
             art_col += 1
         tab.append(row)
-    return tab, basic, slacks, n_struct, art_start
+    return tab, basic, art_start
 
 
 def _reduced_costs(tab, basic, cost):
@@ -192,13 +158,13 @@ def _reduced_costs(tab, basic, cost):
     return obj
 
 
-def _run_simplex(tab, basic, obj) -> bool:
-    """Bland-rule pivoting until optimal (True) or unbounded (False)."""
+def _run_simplex(tab, basic, obj) -> None:
+    """Bland-rule pivoting until optimal."""
     ncols = len(obj) - 1
     while True:
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
-            return True
+            return
         leave = None
         best = None
         for r, row in enumerate(tab):
@@ -209,7 +175,7 @@ def _run_simplex(tab, basic, obj) -> bool:
                     best = ratio
                     leave = r
         if leave is None:
-            return False
+            raise InvariantViolation("the LP is unbounded")
         _pivot(tab, basic, obj, leave, enter)
 
 
@@ -234,17 +200,14 @@ def _pivot(tab, basic, obj, r, j):
 
 
 def _drive_out_artificials(tab, basic, art_start):
-    """Replace basic artificials (all at value 0 here) by real columns, or
-    drop rows that turned out redundant."""
+    """Replace basic artificials (all at value 0 here) by real columns."""
     for r in range(len(tab) - 1, -1, -1):
         if basic[r] < art_start:
             continue
         row = tab[r]
         col = next((j for j in range(art_start) if row[j]), None)
         if col is None:
-            del tab[r]
-            del basic[r]
-            continue
+            raise InvariantViolation("the LP's rows are linearly dependent")
         _pivot(tab, basic, [Fraction(0)] * len(row), r, col)
 
 
@@ -255,6 +218,5 @@ def _recheck_feasible(problem: LpProblem, support) -> None:
         raise InvariantViolation("solver produced a negative variable")
     for coeffs, rel, rhs in problem.constraints:
         lhs = sum((coeffs[j] * x for j, x in support), Fraction(0))
-        ok = lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
-        if not ok:
+        if not (lhs >= rhs if rel == ">=" else lhs == rhs):
             raise InvariantViolation("solver produced an infeasible point")

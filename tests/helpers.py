@@ -3,9 +3,9 @@
 Everything here is deliberately written from first principles
 (breadth-first search, Gaussian elimination, vertex enumeration, naive
 allocation scans) so tests never certify library code with the library's
-own machinery. The one exception is the two LP oracles for fractional
-Pareto optimality at the end: they run ``fairdiv.lp.solve``, and their
-section comment says why that is sound.
+own machinery. The two LP oracles for fractional Pareto optimality at the
+end run the general two-phase simplex in ``reference_lp``, not the
+library's simplex, and their section comment says why that is sound.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from fairdiv.core import (
     utilities,
 )
 from fairdiv.improve import dominance_welfare_lp
-from fairdiv.lp import INFEASIBLE, OPTIMAL, LpProblem, solve
 from fairdiv.verify import ADD_ITEM, MEETS_BOUND, REMOVE_ITEM, AgentWitness, PropertyReport
+from reference_lp import INFEASIBLE, OPTIMAL, LpProblem, solve
 
 F = Fraction
 
@@ -545,8 +545,9 @@ def oracle_is_pareto_optimal(instance: Instance, allocation: IntegralAllocation)
 # verify decides fPO with a combinatorial ratio-graph check. These are the
 # two LP formulations it replaced, kept as independent references: one asks
 # for a Pareto improvement directly, the other for welfare weights. They run
-# the library's simplex, which the check they are compared with never calls,
-# so a fault in one cannot hide a fault in the other; the simplex itself is
+# the reference simplex in reference_lp, which shares no solver code with
+# the library and which the check they are compared with never calls, so a
+# fault in one cannot hide a fault in the other; the reference itself is
 # checked against vertex enumeration above
 # (test_acceptance.py::test_simplex_agrees_with_vertex_enumeration).
 

@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from fairdiv.core import FractionalAllocation, Instance, IntegralAllocation
-from fairdiv.lp import OPTIMAL, solve
 from fairdiv.rounding import allocate, round_acyclic
 from fairdiv.verify import (
     ADD_ITEM,
@@ -41,6 +40,7 @@ from helpers import (
     to_fractional,
     vertex_enumeration_optimum,
 )
+from reference_lp import OPTIMAL, solve
 
 F = Fraction
 

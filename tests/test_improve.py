@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv import improve
+from fairdiv import improve, lp
 from fairdiv.core import (
     Instance,
     InvariantViolation,
@@ -17,7 +17,7 @@ from fairdiv.improve import (
     improve_to_acyclic_fpo,
     proportional_seed,
 )
-from fairdiv.lp import OPTIMAL, LpProblem, LpSolution, solve
+from fairdiv.lp import LpProblem, LpSolution, solve
 from helpers import (
     chores_blocks_instance,
     fraction_matrix,
@@ -61,7 +61,7 @@ def test_improve_rejects_an_optimum_that_is_not_a_signed_forest(monkeypatch, row
     # returns it; the postcondition must reject it if it ever did.
     inst = Instance(rows)
     duals = (F(0), F(0)) + (None,) * len(rows[0])
-    crafted = LpSolution(OPTIMAL, F(2), assignment, frozenset(), duals)
+    crafted = LpSolution(F(2), assignment, duals)
     monkeypatch.setattr(improve, "solve", lambda problem: crafted)
     with pytest.raises(InvariantViolation, match=message):
         improve_to_acyclic_fpo(inst)
@@ -152,6 +152,36 @@ def test_improve_postconditions_on_random_instances():
             best = max(weights[j] * u[j][o] for j in inst.agents)
             for i in graph.item_agents[o]:
                 assert weights[i] * u[i][o] == best
+
+
+def test_tableau_cell_formula_bounds_the_solvers_tableau():
+    # improve.MAX_TABLEAU_CELLS is checked against (n+m)(nm+2n+m+1) before
+    # anything is built. The tableau lp._standard_form builds has n + m rows
+    # and nm + n + a + 1 columns, a the number of artificials: one per item
+    # row and one per agent row with a positive floor. So the formula is an
+    # upper bound, met exactly when every agent's floor is positive.
+    rng = random.Random(61)
+    tight = loose = 0
+    for trial in range(120):
+        n, m = rng.randint(1, 5), rng.randint(0, 6)
+        rows = []
+        for _ in range(n):
+            row = [rng.randint(-3, 3) for _ in range(m)]
+            sign = 1 if trial % 2 else rng.choice((1, 0, -1))
+            if m:
+                row[0] += sign * rng.randint(1, 5) - sum(row)
+            rows.append(row)
+        weights = [rng.randint(1, 4) for _ in range(n)] if trial % 3 else None
+        inst = Instance(rows, weights)
+        tab = lp._standard_form(dominance_welfare_lp(inst, proportional_seed(inst)))[0]
+        cells = len(tab) * len(tab[0])
+        formula = (n + m) * (n * m + 2 * n + m + 1)
+        positive = all(floor > 0 for floor in utilities(inst, proportional_seed(inst)))
+        assert cells <= formula
+        assert (cells == formula) == positive, (rows, weights)
+        tight += positive
+        loose += not positive
+    assert tight >= 40 and loose >= 40
 
 
 def test_improve_is_deterministic():

@@ -1,10 +1,32 @@
+import ast
+import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairdiv.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve
-from helpers import is_vertex, rand_lp, vertex_enumeration_optimum
+import fairdiv.lp
+from fairdiv.core import Instance, InvariantViolation
+from fairdiv.improve import dominance_welfare_lp, proportional_seed
+from helpers import (
+    CHORES_BLOCKS_X,
+    CHORES_BLOCKS_Y,
+    GOODS_BLOCKS_X,
+    GOODS_BLOCKS_Y,
+    IDENTICAL_ITEMS_BALANCED,
+    chores_blocks_instance,
+    goods_blocks_instance,
+    identical_items_instance,
+    is_vertex,
+    rand_lp,
+    to_fractional,
+    vertex_enumeration_optimum,
+)
+from reference_lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve
+from test_rounding import _degenerate_instances
 
 
 F = Fraction
@@ -191,3 +213,123 @@ def test_nonbasic_structural_variables_are_zero():
         for j in range(problem.num_vars):
             if j not in sol.basis:
                 assert sol.assignment[j] == 0
+
+
+# ---------------------------------------------------------------------------
+# the library's simplex
+#
+# fairdiv.lp solves only the improvement LP, which is feasible, bounded and
+# of full row rank. On every such program it must pivot exactly as the
+# general solver in reference_lp does: same vertex, value and duals.
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _improvement_lp(instance, baseline=None):
+    if baseline is None:
+        baseline = proportional_seed(instance)
+    return dominance_welfare_lp(instance, baseline)
+
+
+def _agrees_with_the_reference(problem):
+    """Solve ``problem`` with both solvers, check that the library's
+    solution is exactly the reference's (value, assignment, duals), and
+    return it."""
+    expected = solve(problem)
+    assert expected.status == OPTIMAL
+    got = fairdiv.lp.solve(problem)
+    assert dataclasses.astuple(got) == (expected.value, expected.assignment, expected.duals)
+    return got
+
+
+def test_library_simplex_matches_the_reference_on_fixture_and_degenerate_lps():
+    fixtures = [
+        (goods_blocks_instance(), (GOODS_BLOCKS_X, GOODS_BLOCKS_Y)),
+        (chores_blocks_instance(), (CHORES_BLOCKS_X, CHORES_BLOCKS_Y)),
+        (identical_items_instance(), (IDENTICAL_ITEMS_BALANCED,)),
+    ]
+    problems = []
+    for instance, allocations in fixtures:
+        problems.append(_improvement_lp(instance))
+        problems += [_improvement_lp(instance, to_fractional(a)) for a in allocations]
+    problems += [_improvement_lp(inst) for inst in _degenerate_instances(random.Random(23))]
+    for problem in problems:
+        _agrees_with_the_reference(problem)
+    assert len(problems) == 41
+
+
+@st.composite
+def _instances(draw):
+    """1-4 agents and 0-7 items: random rows, identical rows, positive
+    multiples of one row or sparse rows, any of them possibly all zeros,
+    with equal or drawn entitlements."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    values = st.integers(-4, 4)
+    base = draw(st.lists(values, min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["random", "identical", "scaled", "sparse"]))
+    if kind == "random":
+        rows = [draw(st.lists(values, min_size=m, max_size=m)) for _ in range(n)]
+    elif kind == "identical":
+        rows = [base] * n
+    elif kind == "scaled":
+        factors = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)
+        rows = [[f * v for v in base] for f in draw(st.lists(factors, min_size=n, max_size=n))]
+    else:
+        sparse = st.sampled_from((0, 0, 0, 1, -1, 2))
+        rows = [draw(st.lists(sparse, min_size=m, max_size=m)) for _ in range(n)]
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = [[0] * m if z else row for row, z in zip(rows, zero)]
+    weights = draw(st.none() | st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return Instance(rows, weights)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_instances())
+def test_library_simplex_matches_the_reference_on_random_improvement_lps(instance):
+    problem = _improvement_lp(instance)
+    got = _agrees_with_the_reference(problem)
+    if instance.num_agents * instance.num_items <= 6:
+        assert got.value == vertex_enumeration_optimum(problem)[0]
+
+
+@pytest.mark.parametrize("constraints, message", [
+    ([((1,), ">=", 2), ((1,), "=", 1)], "no feasible point"),
+    ([((1,), ">=", 0)], "unbounded"),
+    ([((1,), "=", 1), ((1,), "=", 1)], "linearly dependent"),
+], ids=["infeasible", "unbounded", "repeated-equality"])
+def test_library_simplex_refuses_what_the_improvement_lp_never_is(constraints, message):
+    problem = fairdiv.lp.LpProblem(1, (Fraction(1),), tuple(constraints))
+    with pytest.raises(InvariantViolation, match=message):
+        fairdiv.lp.solve(problem)
+
+
+def test_library_lp_rejects_less_equal_rows():
+    with pytest.raises(ValueError, match="unknown relation '<='"):
+        fairdiv.lp.LpProblem(1, (1,), (((1,), "<=", 1),))
+
+
+def _imported_modules(path) -> list:
+    """Every module ``path`` imports; ``from package import name`` counts
+    as importing ``package.name``, since the name may be a module."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "fairdiv":
+                names += [f"fairdiv.{alias.name}" for alias in node.names]
+            else:
+                names.append(node.module)
+    return names
+
+
+def test_library_and_reference_solvers_stay_apart():
+    # A reference that re-exported fairdiv.lp would make the agreement tests
+    # vacuous, and the library may not lean on anything under tests/.
+    test_modules = {p.stem for p in TESTS.glob("*.py")} | {"tests", "conftest"}
+    for path in sorted((TESTS.parent / "src" / "fairdiv").glob("*.py")):
+        for name in _imported_modules(path):
+            assert name.split(".")[0] not in test_modules, (path.name, name)
+    library = [name for name in _imported_modules(TESTS / "reference_lp.py")
+               if name.split(".")[0] == "fairdiv"]
+    assert library == ["fairdiv.core"]

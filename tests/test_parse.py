@@ -223,7 +223,7 @@ _PLAIN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 @example("\u00b2")  # SUPERSCRIPT TWO: isdigit() but not a decimal digit
 @example("-0/7")
 @example("4/0")
-def test_plain_strings_are_read_without_parse_rational(text):
+def test_plain_strings_are_read_without_a_fraction(text):
     """_ratio gives parse_rational's value or error on every string, and
     builds no Fraction from the text exactly when it is an ASCII string
     -?[0-9]+(/[0-9]+)? with a nonzero denominator. Any other string the

@@ -14,7 +14,7 @@ from fairdiv.core import (
 )
 from fairdiv import improve, rounding
 from fairdiv.improve import improve_to_acyclic_fpo
-from fairdiv.lp import OPTIMAL, LpSolution
+from fairdiv.lp import LpSolution
 from fairdiv.lp import solve as lp_solve
 from fairdiv.rounding import allocate, round_acyclic
 from fairdiv.verify import is_pareto_optimal_integral, weighted_prop, weighted_prop1
@@ -40,7 +40,7 @@ def _lp_returns(monkeypatch, x):
     """Make the improvement LP report the allocation x as its optimum."""
     assignment = tuple(v for row in x.fractions for v in row)
     duals = (F(0),) * x.num_agents + (None,) * x.num_items
-    crafted = LpSolution(OPTIMAL, F(0), assignment, frozenset(), duals)
+    crafted = LpSolution(F(0), assignment, duals)
     monkeypatch.setattr(improve, "solve", lambda problem: crafted)
 
 
