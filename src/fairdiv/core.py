@@ -34,18 +34,20 @@ class EnumerationCapExceeded(FairDivisionError):
 
 
 def as_fraction(value: Union[int, Fraction]) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject floats and bools outright.
+    """Coerce an int or Fraction to Fraction; refuse everything else.
 
     A Fraction is immutable, so one is returned as it is rather than copied.
     A bool is an int to Python but not a quantity, as JSON's ``true`` is not.
+    Text is not read here: ``Fraction(text)`` has no length or exponent
+    bound and a grammar that varies with the Python version, so text goes
+    through ``fairdiv.serialize.parse_rational``, the one bounded reader.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise ValueError("floats are not exact; pass int, Fraction, or a rational string")
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number; pass int, Fraction, or a rational string")
-    return Fraction(value)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"expected an int or Fraction, got {type(value).__name__}; "
+                     "read text with fairdiv.serialize.parse_rational")
 
 
 def integer_row(ratios) -> tuple:

@@ -248,10 +248,11 @@ def parse_allocation(doc, agent_ids, item_ids) -> IntegralAllocation:
         if agent not in agent_index:
             raise ValueError(f"unknown agent id {reprlib.repr(agent)}")
         owners[item_index[item]] = agent_index[agent]
+    # Every pair passed, so had every item an owner, the keys would be the
+    # item ids, each once, each mapped to a known agent id string: a
+    # document the C-level read above has returned already.
     unassigned = [item_ids[j] for j, v in enumerate(owners) if v is None]
-    if unassigned:
-        raise ValueError(f"allocation assigns no owner to {reprlib.repr(unassigned)}")
-    return IntegralAllocation(len(agent_ids), tuple(owners))
+    raise ValueError(f"allocation assigns no owner to {reprlib.repr(unassigned)}")
 
 
 def print_allocation(allocation: IntegralAllocation, agent_ids, item_ids) -> dict:

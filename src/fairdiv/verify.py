@@ -190,11 +190,9 @@ def propx(instance: Instance, allocation: IntegralAllocation) -> PropertyReport:
             chore = max(chores, key=row.__getitem__)  # the first maximum
             if item is None or (-row[chore], chore) < (good, item):
                 item = chore
-        if item is None:
-            # no extreme item to quantify over; the bundle itself decides
-            witnesses.append(AgentWitness(i, False, MEETS_BOUND, None,
-                                          bundle_value, bound, bundle_value))
-            continue
+        # item is not None: an agent with no chore and no unowned good owns
+        # every positive entry and no negative one, so value >= max(0, total)
+        # and value * n >= total, which the bound check above has refuted
         adjusted = value + abs(row[item])
         rule = REMOVE_ITEM if row[item] < 0 else ADD_ITEM
         witnesses.append(AgentWitness(i, adjusted * n >= total, rule, item, bundle_value,

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv.core import FractionalAllocation, Instance, IntegralAllocation
+from fairdiv.core import FractionalAllocation, Instance
 from fairdiv.rounding import allocate, round_acyclic
 from fairdiv.verify import (
     ADD_ITEM,
@@ -31,13 +31,12 @@ from helpers import (
     IDENTICAL_ITEMS_BALANCED,
     chores_blocks_instance,
     forest_fixture,
-    fraction_matrix,
     goods_blocks_instance,
     identical_items_instance,
     is_vertex,
+    oracle_weights_certify,
     rand_instance,
     rand_lp,
-    to_fractional,
     vertex_enumeration_optimum,
 )
 from reference_lp import OPTIMAL, solve
@@ -70,20 +69,6 @@ def test_pipeline_guarantees_on_random_suite(random_suite):
     print(f"500 random instances: PROP1 + PO + fPO all hold in {elapsed:.1f}s: pass")
 
 
-def _maximizers_consume(inst, allocation, weights) -> bool:
-    """Does every agent holding a positive share of an item maximize
-    weights[j] * u_j(item) over all agents j?"""
-    if isinstance(allocation, IntegralAllocation):
-        allocation = to_fractional(allocation)
-    rows = allocation.fractions
-    u = fraction_matrix(inst)
-    for o in inst.items:
-        scores = [weights[j] * u[j][o] for j in inst.agents]
-        if any(rows[i][o] > 0 and scores[i] != max(scores) for i in inst.agents):
-            return False
-    return True
-
-
 def test_emitted_weights_certify_both_allocations(random_suite):
     suite = random_suite + [goods_blocks_instance(), chores_blocks_instance(),
                             identical_items_instance()]
@@ -91,8 +76,8 @@ def test_emitted_weights_certify_both_allocations(random_suite):
         result = allocate(inst)
         weights = result.welfare_weights
         assert len(weights) == inst.num_agents and all(w > 0 for w in weights)
-        assert _maximizers_consume(inst, result.fractional, weights)
-        assert _maximizers_consume(inst, result.integral, weights)
+        assert oracle_weights_certify(inst, result.fractional, weights)
+        assert oracle_weights_certify(inst, result.integral, weights)
     print(f"{len(suite)} instances: the emitted welfare weights certify the "
           "fractional intermediate and the integral output: pass")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairdiv import allocate, cli, improve, lp, serialize, verify
+from fairdiv import allocate, cli, improve, lp, rounding, serialize, verify
 from fairdiv.cli import main
 from fairdiv.core import Instance, IntegralAllocation
 from fairdiv.serialize import (
@@ -104,6 +105,8 @@ def test_allocation_round_trip_random():
         item_ids = tuple(f"t{o}" for o in range(m))
         doc = print_allocation(alloc, agent_ids, item_ids)
         assert parse_allocation(doc, agent_ids, item_ids) == alloc
+    with pytest.raises(ValueError, match="^id lists do not match the allocation shape$"):
+        print_allocation(IntegralAllocation(2, (0, 1)), ("g0", "g1"), ("t0",))
 
 
 def test_parse_rational_accepts_strings_and_ints():
@@ -220,6 +223,9 @@ def test_parse_instance_rejects_duplicate_ids():
         parse_instance(doc)
     doc = {"agents": [{"id": "x"}], "items": ["p", "p"], "utilities": [["1", "1"]]}
     with pytest.raises(ValueError, match="unique"):
+        parse_instance(doc)
+    doc = {"agents": [{"id": "x"}], "items": [1], "utilities": [["1"]]}
+    with pytest.raises(ValueError, match="^items must be a list of string ids$"):
         parse_instance(doc)
 
 
@@ -484,6 +490,18 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_invariant_violation_is_an_internal_error(capsys, monkeypatch):
+    # a solve whose output fails its own PROP1 recheck exits 3 with the
+    # invariant's message, not the unexpected-exception one
+    def failing(instance, allocation):
+        return dataclasses.replace(verify.weighted_prop1(instance, allocation), holds=False)
+
+    monkeypatch.setattr(rounding, "weighted_prop1", failing)
+    code, out, err = run_cli(capsys, "solve", fixture("goods_blocks"))
+    assert (code, out) == (3, None)
+    assert err == json.dumps({"error": "pipeline output violates weighted PROP1"}) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -665,6 +683,10 @@ def test_verify_unknown_property(capsys):
                            fixture("goods_blocks_x"), "--property", "ef1")
     assert code == 2
     assert "unknown property" in json.loads(err)["error"]
+    code, _, err = run_cli(capsys, "verify", fixture("goods_blocks"),
+                           fixture("goods_blocks_x"), "--property", ",")
+    assert code == 2
+    assert json.loads(err) == {"error": "no properties requested"}
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +866,29 @@ def test_workflow_runs_no_inline_scripts():
     # A plain-text scan, since CI installs no YAML parser.
     workflow = FIXTURES.parent / ".github" / "workflows" / "tier1.yml"
     assert "<<" not in workflow.read_text("utf-8")
+
+
+def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
+    # every warning is an error here, and hypothesis' report hook must not
+    # turn a falsifying example into an INTERNALERROR that hides it
+    (tmp_path / "test_drawn.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_passes():\n"
+        "    pass\n", "utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(FIXTURES.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_drawn.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "1 failed, 1 passed" in output
+    assert "INTERNALERROR" not in output
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from fairdiv.core import (
     proportional_share,
     utilities,
 )
+from fairdiv.lp import LpProblem
 from helpers import (
     blend,
     fraction_matrix,
@@ -109,6 +111,34 @@ def test_as_fraction_keeps_fractions_and_converts_ints():
     assert as_fraction(half) is half
     assert as_fraction(3) == 3 and type(as_fraction(3)) is Fraction
 
+    class Index(int):
+        pass
+
+    class Half(Fraction):
+        pass
+
+    assert as_fraction(Index(3)) == 3 and type(as_fraction(Index(3))) is Fraction
+    assert as_fraction(Half(1, 2)) == half and type(as_fraction(Half(1, 2))) is Fraction
+    assert Instance([[Index(2), half]], [Index(1)]) == Instance([[2, half]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: as_fraction("1/2"),
+    lambda: as_fraction("1e2000000"),
+    lambda: as_fraction(Decimal("0.5")),
+    lambda: as_fraction(0.5),
+    lambda: Instance([["1_0"]]),
+    lambda: Instance([[1], [1]], weights=["1", "1"]),
+    lambda: FractionalAllocation((("1",),)),
+    lambda: LpProblem(1, ("1",), ()),
+], ids=["ratio", "exponent", "decimal", "float", "utilities", "weights", "shares",
+        "lp-objective"])
+def test_library_reads_no_text_and_points_to_parse_rational(build):
+    # text has one reader, bounded and the same on every Python version
+    with pytest.raises(ValueError, match="^expected an int or Fraction, got [A-Za-z]+; read "
+                                         "text with fairdiv.serialize.parse_rational$"):
+        build()
+
 
 @pytest.mark.parametrize("build", [
     lambda: as_fraction(True),
@@ -161,6 +191,10 @@ def test_fractional_allocation_validates_columns():
         FractionalAllocation(((Fraction(1, 2),), (Fraction(1, 3),)))
     with pytest.raises(ValueError):
         FractionalAllocation(((Fraction(3, 2),), (Fraction(-1, 2),)))
+    with pytest.raises(ValueError, match="^allocation needs at least one agent row$"):
+        FractionalAllocation(())
+    with pytest.raises(ValueError, match="^allocation rows must all have the same length$"):
+        FractionalAllocation(((Fraction(1, 2), 1), (Fraction(1, 2),)))
     ok = FractionalAllocation(((Fraction(1, 2),), (Fraction(1, 2),)))
     assert ok.num_agents == 2 and ok.num_items == 1
 

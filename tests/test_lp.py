@@ -306,6 +306,22 @@ def test_library_simplex_refuses_what_the_improvement_lp_never_is(constraints, m
 def test_library_lp_rejects_less_equal_rows():
     with pytest.raises(ValueError, match="unknown relation '<='"):
         fairdiv.lp.LpProblem(1, (1,), (((1,), "<=", 1),))
+    with pytest.raises(ValueError, match="^objective length must equal num_vars$"):
+        fairdiv.lp.LpProblem(2, (1,), ())
+    with pytest.raises(ValueError, match="^constraint width must equal num_vars$"):
+        fairdiv.lp.LpProblem(2, (1, 1), (((1,), ">=", 1),))
+
+
+@pytest.mark.parametrize("support, message", [
+    ([(0, -1)], "negative variable"),
+    ([(0, 2)], "infeasible point"),
+], ids=["negative", "infeasible"])
+def test_library_recheck_refuses_a_point_off_the_feasible_region(support, message):
+    # solve never hands such a point over; the recheck is its last guard
+    problem = fairdiv.lp.LpProblem(1, (Fraction(1),), (((1,), "=", 1),))
+    fairdiv.lp._recheck_feasible(problem, [(0, Fraction(1))])
+    with pytest.raises(InvariantViolation, match=f"^solver produced an? {message}$"):
+        fairdiv.lp._recheck_feasible(problem, support)
 
 
 def _imported_modules(path) -> list:

@@ -106,6 +106,18 @@ def test_round_rejects_zero_valued_shared_item():
         round_acyclic(inst, x)
 
 
+def test_round_refuses_a_second_loss_when_a_cycle_goes_unseen(monkeypatch):
+    # agents 1 and 2 both share items 1 and 2, a cycle; with find_cycle
+    # blinded, rounding walks into it from leaf 0 and the loss counter stops it
+    inst = Instance([[1, 1, 1]] * 3)
+    half = F(1, 2)
+    x = FractionalAllocation(((half, 0, 0), (half, half, half), (0, half, half)))
+    monkeypatch.setattr(rounding, "find_cycle", lambda graph: None)
+    with pytest.raises(InvariantViolation,
+                       match="^agent 2 had two shared items decided against it$"):
+        round_acyclic(inst, x)
+
+
 def test_round_rejects_shape_mismatch():
     inst = Instance(((1, 2), (3, 4)))
     x = to_fractional(IntegralAllocation(2, (0,)))
