@@ -35,6 +35,11 @@ EXIT_VIOLATED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
+# gen draws and prints at most this many cells: one per utility entry, and at
+# least one per agent, whose row costs memory even with no items. At the
+# limit, a 100x10000 gen peaked at 182 MiB RSS and took about 1 s.
+MAX_GEN_CELLS = 1_000_000
+
 SEARCHABLE = {
     "prop": verify.weighted_prop,
     "prop1": verify.weighted_prop1,
@@ -173,6 +178,10 @@ def _cmd_gen(args) -> int:
         raise ValueError("item count must be nonnegative")
     if args.lo > args.hi:
         raise ValueError("empty utility range")
+    cells = args.agents * max(args.items, 1)
+    if cells > MAX_GEN_CELLS:
+        raise ValueError(f"a {args.agents}x{args.items} instance needs {cells} cells, "
+                         f"over the limit {MAX_GEN_CELLS}")
     rng = random.Random(args.seed)
     # the instance normalizes raw weights to sum 1; None reads as equal weights
     weights = (None if args.weight_mode == "equal"

@@ -10,10 +10,13 @@ certifies it: its optimal duals on the agent rows are positive welfare
 weights under which every consumer of every item is a maximizer, so the
 pipeline needs no second LP to prove fPO.
 
-One exact simplex solve does the whole stage. Its optimal vertex already
-has a forest as consumption graph, with one strict utility sign on every
-shared item (see ``improve_to_acyclic_fpo``), and both facts are checked
-as a postcondition on the solve.
+At most one exact simplex solve does the whole stage. Its optimal vertex
+already has a forest as consumption graph, with one strict utility sign on
+every shared item (see ``improve_to_acyclic_fpo``), and both facts are
+checked as a postcondition on the solve. The solve is skipped when every
+item has exactly one agent valuing it most and that argmax allocation
+leaves every agent strictly above its seed utility: the argmax is then the
+LP's unique optimum, read off in O(nm), with every welfare weight 1.
 """
 
 from __future__ import annotations
@@ -101,18 +104,77 @@ def improve_to_acyclic_fpo(instance: Instance) -> tuple:
     Both facts are checked on the returned vertex; a failure raises
     InvariantViolation, since it could only come from a solver bug.
 
+    The LP is not built when ``_argmax_owners`` finds its optimum first:
+    every item o has exactly one agent a(o) with the largest u_a(o), and the
+    argmax allocation x*, giving each o to a(o), leaves every agent i
+    strictly above its seed utility b_i * u_i(M). Every feasible x has
+    ``sum_o sum_i u_i(o) x_io <= sum_o max_i u_i(o)``, since each column
+    of x sums to 1, with equality only if each o goes wholly to a(o), that
+    is x = x*. As x* meets every row, it is the LP's unique optimum, so
+    every solver returns it (Mangasarian, "Uniqueness of solution in linear
+    programming", 1979).
+    Every agent row is strictly slack at x*, so complementary slackness
+    sets pi_i = 0 in every optimal dual solution, and every weight is 1.
+    The returned ``(x*, (1, ..., 1))`` is what the simplex would return; it
+    is integral, so the vertex postcondition below holds on it trivially,
+    and it is still checked.
+
     Raises ValueError, before building anything, when the LP's tableau
-    would exceed MAX_TABLEAU_CELLS.
+    would exceed MAX_TABLEAU_CELLS. The check comes before the argmax test,
+    so that what is accepted depends on n and m alone.
     """
     n, m = instance.num_agents, instance.num_items
     cells = (n + m) * (n * m + 2 * n + m + 1)
     if cells > MAX_TABLEAU_CELLS:
         raise ValueError(f"a {n}x{m} instance needs {cells} LP tableau cells, "
                          f"over the limit {MAX_TABLEAU_CELLS}")
-    solution = solve(dominance_welfare_lp(instance, proportional_seed(instance)))
-    x = FractionalAllocation(tuple(solution.assignment[i * m:(i + 1) * m] for i in range(n)))
+    owners = _argmax_owners(instance)
+    if owners is None:
+        solution = solve(dominance_welfare_lp(instance, proportional_seed(instance)))
+        x = FractionalAllocation(tuple(solution.assignment[i * m:(i + 1) * m]
+                                       for i in range(n)))
+        weights = tuple(1 - pi for pi in solution.duals[:n])
+    else:
+        one, zero = Fraction(1), Fraction(0)
+        x = FractionalAllocation(tuple(tuple(one if a == i else zero for a in owners)
+                                       for i in range(n)))
+        weights = (one,) * n
     _check_shared_items_same_sign(instance, x)
-    return x, tuple(1 - pi for pi in solution.duals[:n])
+    return x, weights
+
+
+def _argmax_owners(instance: Instance):
+    """The owner of every item in the utilitarian argmax allocation, when
+    each item has exactly one agent valuing it most and every agent gets
+    strictly more than its seed utility ``b_i * u_i(M)``; None otherwise.
+
+    Reads the integer rows ``(d_i, N_i)``: ``u_i(o) > u_j(o)`` is
+    ``N_i[o] * d_j > N_j[o] * d_i``, and agent i's condition is
+    ``got * w.denominator > w.numerator * total`` on the row sums, with
+    ``w = b_i``, as both sides share the positive factor ``1 / d_i``.
+    One agent never passes: it gets exactly ``u(M) = b * u(M)``.
+    """
+    rows = instance.integer_rows
+    owners = []
+    for o in range(instance.num_items):
+        best, (d_best, row_best), tied = 0, rows[0], False
+        for i in range(1, len(rows)):
+            d, row = rows[i]
+            diff = row[o] * d_best - row_best[o] * d
+            if diff > 0:
+                best, d_best, row_best, tied = i, d, row, False
+            elif diff == 0:
+                tied = True
+        if tied:
+            return None
+        owners.append(best)
+    got = [0] * len(rows)
+    for o, a in enumerate(owners):
+        got[a] += rows[a][1][o]
+    for (_, row), w, g in zip(rows, instance.weights, got):
+        if g * w.denominator <= w.numerator * sum(row):
+            return None
+    return owners
 
 
 def _check_shared_items_same_sign(instance: Instance, x: FractionalAllocation) -> None:

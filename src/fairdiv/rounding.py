@@ -15,9 +15,13 @@ since rounding only shrinks the set of consumers per item, the welfare-weight
 certificate of the fractional allocation keeps certifying fractional Pareto
 optimality.
 
-``allocate`` solves that one LP and checks its own output without another:
-the improvement LP's duals are the welfare weights, and replaying them on the
-fractional intermediate and on the integral output costs O(nm).
+``allocate`` solves at most that one LP and checks its own output without
+another: the improvement LP's duals are the welfare weights, and replaying
+them on the fractional intermediate and on the integral output costs O(nm).
+No LP is solved when every item has exactly one agent valuing it most and
+that argmax leaves every agent strictly above its seed utility: the argmax
+is then the LP's unique optimum, integral, with every weight 1, and the
+same replays and PROP1 check run on it.
 
 Only the roots decide the owners. When the walk reaches an agent, the items
 it still shares are exactly those leading away from the root, so the order

@@ -521,6 +521,22 @@ def oracle_weights_certify(instance: Instance, allocation, weights) -> bool:
     return True
 
 
+def oracle_argmax_is_lp_optimum(instance: Instance) -> bool:
+    """Is the improvement LP's optimum the utilitarian argmax, with no LP?
+    True iff every item has exactly one agent of largest ``Fraction`` value
+    and, giving each item to it, every agent gets strictly more than
+    ``b_i * u_i(M)``."""
+    u = fraction_matrix(instance)
+    got = [Fraction(0)] * instance.num_agents
+    for o in instance.items:
+        column = [u[i][o] for i in instance.agents]
+        best = max(column)
+        if column.count(best) != 1:
+            return False
+        got[column.index(best)] += best
+    return all(got[i] > instance.weights[i] * sum(u[i], Fraction(0)) for i in instance.agents)
+
+
 def oracle_pareto_dominates(instance: Instance, better: IntegralAllocation,
                             worse: IntegralAllocation) -> bool:
     u = fraction_matrix(instance)

@@ -742,6 +742,33 @@ def test_gen_rejects_bad_parameters(capsys):
                    "--lo", "3", "--hi", "1")[0] == 2
 
 
+def test_gen_refuses_an_instance_over_the_cell_limit_before_drawing(capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("gen draws although the instance exceeds the limit")
+
+    monkeypatch.setattr(cli.random, "Random", must_not_run)
+    code = main(["gen", "--agents", "100000", "--items", "100000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [json.dumps(
+        {"error": "a 100000x100000 instance needs 10000000000 cells, over the limit 1000000"})]
+
+
+def test_gen_cell_limit_admits_exactly_its_cells(capsys, monkeypatch):
+    argv = ["gen", "--agents", "3", "--items", "4", "--seed", "5"]
+    assert main(argv) == 0
+    accepted = capsys.readouterr().out
+    monkeypatch.setattr(cli, "MAX_GEN_CELLS", 12)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == accepted
+    monkeypatch.setattr(cli, "MAX_GEN_CELLS", 11)
+    assert run_cli(capsys, *argv) == (
+        2, None, json.dumps({"error": "a 3x4 instance needs 12 cells, over the limit 11"}) + "\n")
+    # an agent row costs a cell even with no items
+    assert run_cli(capsys, "gen", "--agents", "12", "--items", "0") == (
+        2, None, json.dumps({"error": "a 12x0 instance needs 12 cells, over the limit 11"}) + "\n")
+
+
 def test_gen_solve_pipeline(capsys, tmp_path):
     # gen, solve, and verify of the solved allocation, fpo included
     inst, alloc = tmp_path / "generated.json", tmp_path / "solved.json"
@@ -770,6 +797,20 @@ def test_solve_refuses_an_lp_over_the_tableau_limit(capsys, monkeypatch, tmp_pat
     assert (code, captured.out) == (2, "")
     assert captured.err.splitlines() == [json.dumps(
         {"error": "a 50x4000 instance needs 826609050 LP tableau cells, over the limit 10000000"})]
+
+
+def test_solve_checks_the_tableau_limit_before_the_argmax_shortcut(capsys, tmp_path):
+    # The argmax answers this instance without an LP, but what solve
+    # accepts depends on n and m alone: (2 + 2300) * (4600 + 4 + 2300 + 1) cells.
+    rows = [[(j + i + 1) % 2 for j in range(2300)] for i in range(2)]
+    assert improve._argmax_owners(Instance(rows)) is not None
+    path = tmp_path / "hit.json"
+    path.write_text(json.dumps({"agents": [{"id": "a0"}, {"id": "a1"}],
+                                "items": [f"o{j}" for j in range(2300)],
+                                "utilities": rows}))
+    assert run_cli(capsys, "solve", str(path)) == (2, None, json.dumps(
+        {"error": "a 2x2300 instance needs 15895310 LP tableau cells, "
+                  "over the limit 10000000"}) + "\n")
 
 
 def test_solve_tableau_limit_admits_exactly_its_cells(monkeypatch):

@@ -1,9 +1,17 @@
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairdiv import improve, lp
+from fairdiv import cli, improve, lp
 from fairdiv.core import (
     Instance,
     InvariantViolation,
@@ -18,10 +26,13 @@ from fairdiv.improve import (
     proportional_seed,
 )
 from fairdiv.lp import LpProblem, LpSolution, solve
+from fairdiv.rounding import allocate
+from fairdiv.serialize import print_instance
 from helpers import (
     chores_blocks_instance,
     fraction_matrix,
     goods_blocks_instance,
+    oracle_argmax_is_lp_optimum,
     rand_instance,
     vertex_enumeration_optimum,
 )
@@ -203,3 +214,93 @@ def test_improve_with_no_items():
     assert x.num_items == 0
     assert weights == (1, 1, 1)
     assert utilities(inst, x) == (0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the argmax shortcut: no LP when its unique optimum is the argmax
+
+
+def _counting_solver(monkeypatch) -> list:
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(improve, "solve", counting)
+    return calls
+
+
+_GAPS = tuple(range(1, 20)) + (0,)
+
+
+@st.composite
+def _leaning_to_hits(draw):
+    """Instances where each item has a favourite agent that values it at
+    ``top``; any other agent i values it at ``top - gap / c_i``, a tie
+    when the gap is 0, one draw in 20. Each row is scaled by its own
+    ``c_i``, so rows have different denominators."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    scales = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rows = [[] for _ in range(n)]
+    for _ in range(m):
+        favourite, top = draw(st.integers(0, n - 1)), draw(st.integers(-2, 6))
+        for i, c in enumerate(scales):
+            gap = 0 if i == favourite else draw(st.sampled_from(_GAPS))
+            rows[i].append(F(top * c - gap, c))
+    weights = draw(st.none() | st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return Instance(rows, weights)
+
+
+def _solve_stdout(path: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["solve", path]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_leaning_to_hits())
+def test_argmax_shortcut_prints_what_the_lp_prints(instance):
+    hit = improve._argmax_owners(instance) is not None
+    assert hit == oracle_argmax_is_lp_optimum(instance)
+    if not hit:
+        return
+    n, m = instance.num_agents, instance.num_items
+    doc = print_instance(instance, [f"a{i}" for i in range(n)], [f"o{j}" for j in range(m)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        fast = _solve_stdout(path)
+        with mock.patch.object(improve, "_argmax_owners", lambda instance: None):
+            assert _solve_stdout(path) == fast
+
+
+@pytest.mark.parametrize("rows, weights", [
+    ([[1, 3, 0], [1, 0, 3]], None),  # item 0 has two maximisers
+    ([[1, 1], [0, 3]], None),  # agent 0 gets exactly its share 1
+    ([[1, 3], [0, 4]], [1, 3]),  # agent 0 gets exactly its share 1/4 * 4
+    ([[2, -3, 0]], None),  # one agent gets exactly u(M)
+    ([[0, 3, 0], [0, 0, 3]], None),  # everyone values item 0 at 0
+], ids=["two-maximisers", "at-share", "at-weighted-share", "one-agent", "all-zero-item"])
+def test_argmax_shortcut_leaves_ties_and_equal_shares_to_the_lp(monkeypatch, rows, weights):
+    # each case skips the LP once its tie or share comparison is relaxed to >=
+    instance = Instance(rows, weights)
+    assert not oracle_argmax_is_lp_optimum(instance)
+    calls = _counting_solver(monkeypatch)
+    allocate(instance)
+    assert len(calls) == 1
+
+
+def test_argmax_shortcut_takes_a_chores_only_instance(monkeypatch):
+    instance = Instance([[-1, -3, F(-5, 2)], [-3, -1, -3]], weights=[2, 1])
+    assert oracle_argmax_is_lp_optimum(instance)
+    calls = _counting_solver(monkeypatch)
+    fast = allocate(instance)
+    assert calls == []
+    assert fast.integral.owners == (0, 1, 0)
+    assert fast.welfare_weights == (1, 1)
+    monkeypatch.setattr(improve, "_argmax_owners", lambda instance: None)
+    assert allocate(instance) == fast
+    assert len(calls) == 1
