@@ -21,6 +21,7 @@ from fairdiv import verify
 from fairdiv.core import EnumerationCapExceeded, Instance, InvariantViolation
 from fairdiv.rounding import allocate
 from fairdiv.serialize import (
+    MAX_RATIONAL_CHARS,
     format_rational,
     parse_allocation,
     parse_instance,
@@ -178,6 +179,11 @@ def _cmd_gen(args) -> int:
         raise ValueError("item count must be nonnegative")
     if args.lo > args.hi:
         raise ValueError("empty utility range")
+    # a value in [lo, hi] prints no longer than the end of the range on its side of 0
+    for flag, bound in (("--lo", args.lo), ("--hi", args.hi)):
+        if len(str(bound)) > MAX_RATIONAL_CHARS:
+            raise ValueError(f"{flag} {reprlib.repr(bound)} is {len(str(bound))} characters "
+                             f"long, over the limit {MAX_RATIONAL_CHARS}")
     cells = args.agents * max(args.items, 1)
     if cells > MAX_GEN_CELLS:
         raise ValueError(f"a {args.agents}x{args.items} instance needs {cells} cells, "

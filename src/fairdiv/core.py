@@ -16,9 +16,7 @@ answers the second with the edge that closes a cycle, or None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 
 class FairDivisionError(Exception):
@@ -33,7 +31,7 @@ class EnumerationCapExceeded(FairDivisionError):
     """A brute-force search would exceed its configured cap."""
 
 
-def as_fraction(value: Union[int, Fraction]) -> Fraction:
+def as_fraction(value: int | Fraction) -> Fraction:
     """Coerce an int or Fraction to Fraction; refuse everything else.
 
     A Fraction is immutable, so one is returned as it is rather than copied.
@@ -61,8 +59,40 @@ def integer_row(ratios) -> tuple:
     return d, tuple([p * (d // q) for p, q in ratios])
 
 
-@dataclass(frozen=True, init=False)
-class Instance:
+class Record:
+    """An immutable value, as a frozen dataclass gives one: the fields named
+    in ``_fields``, set by position or by ``object.__setattr__`` in a
+    subclass's ``__init__``. ``pickle`` and ``copy`` restore ``__dict__``."""
+
+    _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, "
+                            f"got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Instance(Record):
     """A fair division instance with additive utilities and agent weights.
 
     Agents and items are addressed by 0-based index. Agent i's value for
@@ -81,8 +111,7 @@ class Instance:
     ``(integer_rows, weights)``, which is canonical.
     """
 
-    integer_rows: tuple
-    weights: tuple
+    _fields = ("integer_rows", "weights")
 
     def __init__(self, utilities, weights=None):
         rows = tuple(integer_row([(v.numerator, v.denominator) for v in map(as_fraction, row)])
@@ -149,14 +178,13 @@ class Instance:
         return Fraction(sum(row), d)
 
 
-@dataclass(frozen=True)
-class FractionalAllocation:
+class FractionalAllocation(Record):
     """A matrix x with x[i][o] in [0, 1] and every column summing to exactly 1."""
 
-    fractions: tuple
+    _fields = ("fractions",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in self.fractions)
+    def __init__(self, fractions):
+        rows = tuple(tuple(as_fraction(v) for v in row) for row in fractions)
         if not rows:
             raise ValueError("allocation needs at least one agent row")
         m = len(rows[0])
@@ -180,24 +208,23 @@ class FractionalAllocation:
         return len(self.fractions[0])
 
 
-@dataclass(frozen=True)
-class IntegralAllocation:
+class IntegralAllocation(Record):
     """Each item owned by exactly one agent: ``owners[o]`` is item o's agent."""
 
-    num_agents: int
-    owners: tuple
+    _fields = ("num_agents", "owners")
 
-    def __post_init__(self):
-        owners = tuple(self.owners)
-        if self.num_agents < 1:
+    def __init__(self, num_agents, owners):
+        owners = tuple(owners)
+        if num_agents < 1:
             raise ValueError("an allocation needs at least one agent")
         # owners that are all plain ints in range pass in C-level passes;
         # others, int subclasses included, are checked one by one
         if owners and not (set(map(type, owners)) == {int}
-                           and 0 <= min(owners) and max(owners) < self.num_agents):
+                           and 0 <= min(owners) and max(owners) < num_agents):
             for a in owners:
-                if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < self.num_agents:
+                if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < num_agents:
                     raise ValueError("every item must be owned by a valid agent index")
+        object.__setattr__(self, "num_agents", num_agents)
         object.__setattr__(self, "owners", owners)
 
     @property
@@ -211,15 +238,14 @@ class IntegralAllocation:
         return tuple(tuple(b) for b in out)
 
 
-Allocation = Union[FractionalAllocation, IntegralAllocation]
+Allocation = FractionalAllocation | IntegralAllocation
 
 
-@dataclass(frozen=True)
-class ConsumptionGraph:
-    """Bipartite graph on agents and items: an edge means x[i][o] > 0."""
+class ConsumptionGraph(Record):
+    """Bipartite graph on agents and items: an edge means x[i][o] > 0.
+    ``agent_items[i]`` and ``item_agents[o]`` list the neighbours ascending."""
 
-    agent_items: tuple  # per agent, ascending item indices
-    item_agents: tuple  # per item, ascending agent indices
+    _fields = ("agent_items", "item_agents")
 
     def shared_items(self) -> tuple:
         """Items consumed by two or more agents."""
@@ -231,7 +257,7 @@ def _check_shape(instance: Instance, allocation: Allocation) -> None:
         raise ValueError("allocation shape does not match instance")
 
 
-def _mixed_sign_item(instance: Instance, graph: ConsumptionGraph) -> Optional[int]:
+def _mixed_sign_item(instance: Instance, graph: ConsumptionGraph) -> int | None:
     """The first shared item of ``graph`` whose consumers do not all value
     it with one strict sign, read off the integer rows, or None."""
     rows = [row for _, row in instance.integer_rows]
@@ -285,7 +311,7 @@ def consumption_graph(allocation: Allocation) -> ConsumptionGraph:
     )
 
 
-def find_cycle(graph: ConsumptionGraph) -> Optional[tuple]:
+def find_cycle(graph: ConsumptionGraph) -> tuple | None:
     """The first edge ``(agent, item)`` whose two ends the edges before it
     already join, or None iff the graph is a forest. Edges come in the
     order the graph holds them, agents by index and each agent's items

@@ -25,42 +25,38 @@ raises InvariantViolation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from fairdiv.core import InvariantViolation, as_fraction
+from fairdiv.core import InvariantViolation, Record, as_fraction
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(Record):
     """max objective . x  subject to  constraints, x >= 0.
 
     Each constraint is a triple (coefficients, relation, rhs) with relation
     ">=" or "=". Nonnegativity of every variable is implicit.
     """
 
-    num_vars: int
-    objective: tuple
-    constraints: tuple
+    _fields = ("num_vars", "objective", "constraints")
 
-    def __post_init__(self):
-        obj = tuple(as_fraction(c) for c in self.objective)
-        if len(obj) != self.num_vars:
+    def __init__(self, num_vars, objective, constraints):
+        obj = tuple(as_fraction(c) for c in objective)
+        if len(obj) != num_vars:
             raise ValueError("objective length must equal num_vars")
         rows = []
-        for coeffs, rel, rhs in self.constraints:
+        for coeffs, rel, rhs in constraints:
             coeffs = tuple(as_fraction(c) for c in coeffs)
-            if len(coeffs) != self.num_vars:
+            if len(coeffs) != num_vars:
                 raise ValueError("constraint width must equal num_vars")
             if rel not in (">=", "="):
                 raise ValueError(f"unknown relation {rel!r}")
             rows.append((coeffs, rel, as_fraction(rhs)))
+        object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(rows))
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Record):
     """An optimal vertex: ``assignment`` attains ``value``.
 
     ``duals`` holds one entry per constraint, in ``problem.constraints``
@@ -70,9 +66,7 @@ class LpSolution:
     ties them to every optimal assignment.
     """
 
-    value: Fraction
-    assignment: tuple
-    duals: tuple
+    _fields = ("value", "assignment", "duals")
 
 
 def solve(problem: LpProblem) -> LpSolution:

@@ -32,13 +32,12 @@ instance alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from fairdiv.core import (
     FractionalAllocation,
     Instance,
     IntegralAllocation,
     InvariantViolation,
+    Record,
     _check_shape,
     _mixed_sign_item,
     consumption_graph,
@@ -55,15 +54,11 @@ from fairdiv.verify import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(Record):
     """``welfare_weights`` certify fPO of both allocations; ``allocate``
     raises rather than return an uncertified result."""
 
-    integral: IntegralAllocation
-    fractional: FractionalAllocation
-    prop1: PropertyReport
-    welfare_weights: tuple
+    _fields = ("integral", "fractional", "prop1", "welfare_weights")
 
 
 # Only bench/spans.py reads this name: its traced run wraps it. Nothing is
@@ -141,5 +136,4 @@ def allocate(instance: Instance) -> PipelineResult:
     prop1 = weighted_prop1(instance, integral)
     if not prop1.holds:
         raise InvariantViolation("pipeline output violates weighted PROP1")
-    return PipelineResult(integral=integral, fractional=improved, prop1=prop1,
-                          welfare_weights=weights)
+    return PipelineResult(integral, improved, prop1, weights)

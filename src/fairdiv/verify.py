@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Optional
 
 from fairdiv.core import (
     Allocation,
@@ -32,6 +31,7 @@ from fairdiv.core import (
     Instance,
     IntegralAllocation,
     InvariantViolation,
+    Record,
     _check_shape,
     as_fraction,
     consumption_graph,
@@ -53,8 +53,7 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 _PRINTABLE_DIGITS = 640
 
 
-@dataclass(frozen=True)
-class AgentWitness:
+class AgentWitness(Record):
     """How one agent fares under a property check.
 
     ``rule`` names what certifies satisfaction (or, for a failing agent, the
@@ -64,20 +63,11 @@ class AgentWitness:
     that comparison.
     """
 
-    agent: int
-    satisfied: bool
-    rule: Optional[str]
-    item: Optional[int]
-    bundle_value: Fraction
-    bound: Fraction
-    adjusted_value: Fraction
+    _fields = ("agent", "satisfied", "rule", "item", "bundle_value", "bound", "adjusted_value")
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    name: str
-    holds: bool
-    witnesses: tuple
+class PropertyReport(Record):
+    _fields = ("name", "holds", "witnesses")
 
 
 def weighted_prop(instance: Instance, allocation: Allocation) -> PropertyReport:
@@ -246,7 +236,7 @@ def is_pareto_optimal_integral(instance: Instance, allocation: IntegralAllocatio
 
 
 def _dominating_allocation(instance: Instance,
-                           allocation: IntegralAllocation) -> Optional[IntegralAllocation]:
+                           allocation: IntegralAllocation) -> IntegralAllocation | None:
     """The first integral allocation, in lexicographic owner order, that
     Pareto-dominates ``allocation``, or None when none does.
 
@@ -309,7 +299,7 @@ def pareto_improvement_exists(instance: Instance, allocation: Allocation) -> boo
     return find_welfare_weights(instance, allocation) is None
 
 
-def find_welfare_weights(instance: Instance, allocation: Allocation) -> Optional[tuple]:
+def find_welfare_weights(instance: Instance, allocation: Allocation) -> tuple | None:
     """Decide fPO exactly: welfare weights certifying it, the least of them
     1, or None, which proves the allocation is not fPO.
 
@@ -403,7 +393,7 @@ def check_cap(instance: Instance, cap: int) -> None:
         raise EnumerationCapExceeded(f"{count} allocations exceed cap {cap}")
 
 
-def _power_at_most(base: int, exp: int, limit: int) -> Optional[int]:
+def _power_at_most(base: int, exp: int, limit: int) -> int | None:
     """``base**exp`` when it is at most ``limit``, else None. A base of 2 or
     more is at least ``2**(bit_length - 1)``, so a power that must pass
     ``limit`` is refused before it is built, and a power built has at most

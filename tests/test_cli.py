@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import subprocess
@@ -494,7 +493,8 @@ def test_invariant_violation_is_an_internal_error(capsys, monkeypatch):
     # a solve whose output fails its own PROP1 recheck exits 3 with the
     # invariant's message, not the unexpected-exception one
     def failing(instance, allocation):
-        return dataclasses.replace(verify.weighted_prop1(instance, allocation), holds=False)
+        report = verify.weighted_prop1(instance, allocation)
+        return verify.PropertyReport(report.name, False, report.witnesses)
 
     monkeypatch.setattr(rounding, "weighted_prop1", failing)
     code, out, err = run_cli(capsys, "solve", fixture("goods_blocks"))
@@ -769,6 +769,37 @@ def test_gen_cell_limit_admits_exactly_its_cells(capsys, monkeypatch):
         2, None, json.dumps({"error": "a 12x0 instance needs 12 cells, over the limit 11"}) + "\n")
 
 
+def test_gen_refuses_a_bound_its_reader_would_refuse_before_drawing(capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("gen draws although a bound is over the reader's limit")
+
+    monkeypatch.setattr(cli.random, "Random", must_not_run)
+    for argv, flag, shown, length in (
+            (["--hi", "9" * 2000], "--hi", "9" * 18 + "..." + "9" * 19, 2000),
+            (["--lo", str(-10 ** 999)], "--lo", "-1" + "0" * 16 + "..." + "0" * 19, 1001)):
+        code = main(["gen", "--agents", "2", "--items", "2", *argv, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [json.dumps({"error": (
+            f"{flag} {shown} is {length} characters long, over the limit 1000")})]
+
+
+def test_gen_extreme_accepted_bounds_round_trip(capsys, tmp_path):
+    # the longest --hi and --lo whose values print within MAX_RATIONAL_CHARS:
+    # the reader takes them back, and solve accepts the instance
+    hi, lo = 10 ** MAX_RATIONAL_CHARS - 1, -(10 ** (MAX_RATIONAL_CHARS - 1) - 1)
+    path = tmp_path / "instance.json"
+    for bounds in ((hi, hi), (lo, lo), (lo, hi)):
+        code, doc, _ = run_cli(capsys, "gen", "--agents", "2", "--items", "3", "--lo",
+                               str(bounds[0]), "--hi", str(bounds[1]), "--seed", "4")
+        assert code == 0
+        assert max(len(v) for row in doc["utilities"] for v in row) <= MAX_RATIONAL_CHARS
+        inst, _, _ = parse_instance(doc)
+        assert all(bounds[0] <= v <= bounds[1] for row in fraction_matrix(inst) for v in row)
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "solve", str(path))[0] == 0
+
+
 def test_gen_solve_pipeline(capsys, tmp_path):
     # gen, solve, and verify of the solved allocation, fpo included
     inst, alloc = tmp_path / "generated.json", tmp_path / "solved.json"
@@ -889,6 +920,19 @@ def test_module_entry_point_runs(argv):
         assert (proc.returncode, proc.stdout) == (2, "")
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"], lines
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # a cold start pays for every module imported; -S keeps site-packages
+    # out, since a .pth file there may import typing itself
+    src = FIXTURES.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fairdiv.cli; "
+            "print(fairdiv.cli.__file__); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [str(src / "fairdiv" / "cli.py"), "[]"]
 
 
 @pytest.mark.parametrize("name", recorded())

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -16,7 +19,9 @@ from fairdiv.core import (
     proportional_share,
     utilities,
 )
-from fairdiv.lp import LpProblem
+from fairdiv.lp import LpProblem, LpSolution
+from fairdiv.rounding import PipelineResult
+from fairdiv.verify import AgentWitness, PropertyReport
 from helpers import (
     blend,
     fraction_matrix,
@@ -304,3 +309,96 @@ def test_empty_item_set_has_empty_graph():
     assert g.agent_items == ((), ())
     assert find_cycle(g) is None
     assert utilities(inst, x) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the value types: each behaves as the frozen dataclass it replaced
+
+
+def _witness(k):
+    return AgentWitness(0, True, "meets-bound", None, Fraction(k), Fraction(1), Fraction(k))
+
+
+# type -> (its fields, in the dataclass's order; a builder of one value,
+# whose argument, 1 or 2, changes one field)
+VALUE_TYPES = {
+    Instance: (("integer_rows", "weights"),
+               lambda k: Instance([[1, Fraction(1, 2)], [3, k]], [1, 2])),
+    FractionalAllocation: (("fractions",),
+                           lambda k: FractionalAllocation(((Fraction(1, k), 1),
+                                                           (1 - Fraction(1, k), 0)))),
+    IntegralAllocation: (("num_agents", "owners"), lambda k: IntegralAllocation(2, (0, k - 1))),
+    ConsumptionGraph: (("agent_items", "item_agents"),
+                       lambda k: ConsumptionGraph(((0,), (k,)), ((0,), (1,)))),
+    LpProblem: (("num_vars", "objective", "constraints"),
+                lambda k: LpProblem(2, (1, k), (((1, 0), ">=", 0), ((1, 1), "=", 1)))),
+    LpSolution: (("value", "assignment", "duals"),
+                 lambda k: LpSolution(Fraction(k), (Fraction(1), Fraction(0)),
+                                      (Fraction(0), None))),
+    PipelineResult: (("integral", "fractional", "prop1", "welfare_weights"),
+                     lambda k: PipelineResult(IntegralAllocation(1, (0,)),
+                                              FractionalAllocation(((1,),)),
+                                              PropertyReport("weighted-prop1", True,
+                                                             (_witness(1),)),
+                                              (Fraction(k),))),
+    AgentWitness: (("agent", "satisfied", "rule", "item", "bundle_value", "bound",
+                    "adjusted_value"), _witness),
+    PropertyReport: (("name", "holds", "witnesses"),
+                     lambda k: PropertyReport("weighted-prop1", True, (_witness(k),))),
+}
+VALUE_IDS = [t.__name__ for t in VALUE_TYPES]
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES, ids=VALUE_IDS)
+def test_value_types_compare_hash_and_print_as_their_dataclasses(kind):
+    fields, build = VALUE_TYPES[kind]
+    a, b, c = build(1), build(1), build(2)
+    assert kind._fields == fields
+    dataclass = dataclasses.make_dataclass(kind.__name__, fields, frozen=True)
+    old_a, old_c = (dataclass(*(getattr(v, f) for f in fields)) for v in (a, c))
+    assert (repr(a), hash(a)) == (repr(old_a), hash(old_a))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c and old_a != old_c
+    # equality holds within one exact type only, as a dataclass's does
+    sub_kind = type("Sub", (kind,), {})
+    sub = sub_kind.__new__(sub_kind)
+    sub.__dict__.update(a.__dict__)
+    for other in (old_a, tuple(getattr(a, f) for f in fields), sub, object()):
+        assert a.__eq__(other) is NotImplemented
+        assert a != other
+
+
+def test_value_type_repr_is_the_dataclass_text():
+    assert repr(IntegralAllocation(2, (0, 1))) == "IntegralAllocation(num_agents=2, owners=(0, 1))"
+    assert repr(_witness(2)) == (
+        "AgentWitness(agent=0, satisfied=True, rule='meets-bound', item=None, "
+        "bundle_value=Fraction(2, 1), bound=Fraction(1, 1), adjusted_value=Fraction(2, 1))")
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES, ids=VALUE_IDS)
+def test_value_types_refuse_assignment_deletion_and_a_wrong_arity(kind):
+    fields, build = VALUE_TYPES[kind]
+    value = build(1)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == build(1) and not hasattr(value, "extra")
+    with pytest.raises(TypeError):
+        kind()
+    with pytest.raises(TypeError, match="takes|positional"):
+        kind(*range(len(fields) + 1))
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES, ids=VALUE_IDS)
+def test_value_types_survive_pickle_and_copy(kind):
+    fields, build = VALUE_TYPES[kind]
+    value = build(2)
+    clones = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in (*clones, copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is kind
+        assert (clone, hash(clone), repr(clone)) == (value, hash(value), repr(value))
+        with pytest.raises(AttributeError):
+            setattr(clone, fields[0], None)

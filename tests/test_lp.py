@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -238,7 +237,8 @@ def _agrees_with_the_reference(problem):
     expected = solve(problem)
     assert expected.status == OPTIMAL
     got = fairdiv.lp.solve(problem)
-    assert dataclasses.astuple(got) == (expected.value, expected.assignment, expected.duals)
+    assert (got.value, got.assignment, got.duals) == (expected.value, expected.assignment,
+                                                      expected.duals)
     return got
 
 
