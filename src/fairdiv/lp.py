@@ -11,6 +11,13 @@ the same vertex. That vertex is an extreme point of the feasible region,
 which the improvement stage relies on: extreme points of allocation
 polytopes have sparse support.
 
+No ``Fraction`` work goes to a cell known to be zero. A pivot scales and
+eliminates with the pivot row's nonzero cells only, a zero cell that fills
+in is the negated product rather than a subtraction from 0, and the
+feasibility recheck and the objective value skip zero coefficients, so no
+multiplication has a zero operand. Pricing and the ratio test need only
+signs, which they read from numerators (denominators are positive).
+
 Three paths of a general simplex cannot run on that program, so each
 raises InvariantViolation:
 
@@ -91,7 +98,8 @@ def solve(problem: LpProblem) -> LpSolution:
     assignment = [Fraction(0)] * n_struct
     for j, x in support:
         assignment[j] = x
-    value = sum((problem.objective[j] * x for j, x in support), Fraction(0))
+    value = sum((problem.objective[j] * x for j, x in support if problem.objective[j]),
+                Fraction(0))
     _recheck_feasible(problem, support)
     # Every row operation keeps obj equal to cost - y . A for some multipliers
     # y on the original rows, and at optimality y is an optimal dual solution.
@@ -156,14 +164,14 @@ def _run_simplex(tab, basic, obj) -> None:
     """Bland-rule pivoting until optimal."""
     ncols = len(obj) - 1
     while True:
-        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        enter = next((j for j in range(ncols) if obj[j].numerator > 0), None)
         if enter is None:
             return
         leave = None
         best = None
         for r, row in enumerate(tab):
             a = row[enter]
-            if a > 0:
+            if a.numerator > 0:
                 ratio = row[-1] / a
                 if best is None or ratio < best or (ratio == best and basic[r] < basic[leave]):
                     best = ratio
@@ -175,22 +183,26 @@ def _run_simplex(tab, basic, obj) -> None:
 
 def _pivot(tab, basic, obj, r, j):
     prow = tab[r]
+    support = [k for k, v in enumerate(prow) if v]
     inv = Fraction(1) / prow[j]
     if inv != 1:
-        tab[r] = prow = [v * inv for v in prow]
-    support = [k for k, v in enumerate(prow) if v]
-    for row in tab:
-        if row is prow:
-            continue
-        f = row[j]
-        if f:
-            for k in support:
-                row[k] -= f * prow[k]
-    f = obj[j]
-    if f:
         for k in support:
-            obj[k] -= f * prow[k]
+            prow[k] *= inv
+    for row in tab:
+        if row is not prow and row[j]:
+            _eliminate(row, prow, j, support)
+    if obj[j]:
+        _eliminate(obj, prow, j, support)
     basic[r] = j
+
+
+def _eliminate(row, prow, j, support):
+    """row -= row[j] * prow over the pivot row's nonzero cells; a zero cell
+    of ``row`` becomes the negated product, with no subtraction from 0."""
+    f = row[j]
+    for k in support:
+        v = row[k]
+        row[k] = v - f * prow[k] if v else -(f * prow[k])
 
 
 def _drive_out_artificials(tab, basic, art_start):
@@ -211,6 +223,6 @@ def _recheck_feasible(problem: LpProblem, support) -> None:
     if any(x < 0 for _, x in support):
         raise InvariantViolation("solver produced a negative variable")
     for coeffs, rel, rhs in problem.constraints:
-        lhs = sum((coeffs[j] * x for j, x in support), Fraction(0))
+        lhs = sum((coeffs[j] * x for j, x in support if coeffs[j]), Fraction(0))
         if not (lhs >= rhs if rel == ">=" else lhs == rhs):
             raise InvariantViolation("solver produced an infeasible point")

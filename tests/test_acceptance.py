@@ -155,11 +155,13 @@ def _chain_sharing(n: int, m: int):
 # In any forest a shared item uses two of the at most n+m-1 edges, so the
 # walk touches O(n) shared items no matter how large m grows; per-item
 # bookkeeping is the scaling part. Two agents keep the m-independent walk
-# cost from drowning the signal at m=10. Sizes are timed interleaved so
-# machine-load swings hit every size equally, and the minimum per size is
-# kept.
-_SCALING_SIZES = (10, 100, 1000)
-_SCALING_REPS = {10: 6000, 100: 2000, 1000: 200}
+# cost small. A call's fixed cost, about 14 us at one item, is most of a
+# 20 us call at 10 items and would pull the slope toward its floor, so the
+# smallest size is 100 items (about 95 us a call). Sizes are timed
+# interleaved so machine-load swings hit every size equally, and the
+# minimum per size is kept.
+_SCALING_SIZES = (100, 1000, 10000)
+_SCALING_REPS = {100: 1500, 1000: 150, 10000: 15}
 
 
 def _rounding_times_per_size(n: int) -> dict:

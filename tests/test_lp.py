@@ -242,7 +242,9 @@ def _agrees_with_the_reference(problem):
     return got
 
 
-def test_library_simplex_matches_the_reference_on_fixture_and_degenerate_lps():
+def _fixture_lps():
+    """Improvement LPs of the fixture instances, from the proportional seed
+    and from each fixture allocation, and of the degenerate instances."""
     fixtures = [
         (goods_blocks_instance(), (GOODS_BLOCKS_X, GOODS_BLOCKS_Y)),
         (chores_blocks_instance(), (CHORES_BLOCKS_X, CHORES_BLOCKS_Y)),
@@ -253,9 +255,56 @@ def test_library_simplex_matches_the_reference_on_fixture_and_degenerate_lps():
         problems.append(_improvement_lp(instance))
         problems += [_improvement_lp(instance, to_fractional(a)) for a in allocations]
     problems += [_improvement_lp(inst) for inst in _degenerate_instances(random.Random(23))]
+    return problems
+
+
+def _panel_shape_lps():
+    """Improvement LPs of the shapes the solve-large benchmark times: 6
+    agents x 30 items with equal weights and 7 x 28 with integer weights
+    1-9, entries -9..9."""
+    rng = random.Random(1909)
+    problems = []
+    for n, m, weighted in ((6, 30, False), (7, 28, True)):
+        rows = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        weights = [rng.randint(1, 9) for _ in range(n)] if weighted else None
+        problems.append(_improvement_lp(Instance(rows, weights)))
+    return problems
+
+
+def test_library_simplex_matches_the_reference_on_fixture_and_degenerate_lps():
+    problems = _fixture_lps()
     for problem in problems:
         _agrees_with_the_reference(problem)
     assert len(problems) == 41
+
+
+def test_library_simplex_matches_the_reference_on_panel_shape_lps():
+    problems = _panel_shape_lps()
+    for problem in problems:
+        _agrees_with_the_reference(problem)
+    assert [(p.num_vars, len(p.constraints)) for p in problems] == [(180, 36), (196, 35)]
+
+
+def test_library_simplex_never_multiplies_by_zero(monkeypatch):
+    # a zero operand is Fraction arithmetic spent on a product known to be
+    # 0: a zero cell scaled with the pivot row, or a zero coefficient in the
+    # feasibility recheck or in the objective value
+    counts = {"all": 0, "zero": 0}
+
+    def counted(mul):
+        def wrapper(a, b):
+            counts["all"] += 1
+            counts["zero"] += a == 0 or b == 0
+            return mul(a, b)
+        return wrapper
+
+    problems = _fixture_lps() + _panel_shape_lps()
+    monkeypatch.setattr(Fraction, "__mul__", counted(Fraction.__mul__))
+    monkeypatch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
+    for problem in problems:
+        fairdiv.lp.solve(problem)
+    assert counts["zero"] == 0
+    assert counts["all"] > 100_000
 
 
 @st.composite
