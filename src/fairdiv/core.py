@@ -48,6 +48,14 @@ def as_fraction(value: int | Fraction) -> Fraction:
                      "read text with fairdiv.serialize.parse_rational")
 
 
+def as_int(value: int) -> int:
+    """An int as a plain ``int``; refuse everything else, a bool included,
+    as ``as_fraction`` does."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an int, got {type(value).__name__}")
+
+
 def integer_row(ratios) -> tuple:
     """Agent row ``(d, N)`` from its values as lowest-terms ``(p, q)`` pairs,
     ``q >= 1``: ``d`` is the lcm of the q's and ``N[o] = p * (d // q)``, so
@@ -121,8 +129,12 @@ class Instance(Record):
     @classmethod
     def from_integer_rows(cls, rows, weights=None) -> "Instance":
         """An instance from canonical rows ``(d, N)`` as ``integer_row``
-        returns them: ``d >= 1`` and ``gcd(d, *N) == 1``."""
+        returns them: ``d >= 1`` and ``gcd(d, *N) == 1``, every entry an
+        int and not a bool."""
         rows = tuple((d, tuple(row)) for d, row in rows)
+        # rows of plain ints pass in C-level passes; others go value by value
+        if any(type(d) is not int or not set(map(type, row)) <= {int} for d, row in rows):
+            rows = tuple((as_int(d), tuple(map(as_int, row))) for d, row in rows)
         for d, row in rows:
             if d < 1 or math.gcd(d, *row) != 1:
                 raise ValueError("an integer row needs d >= 1 and gcd(d, *N) == 1")
@@ -215,6 +227,7 @@ class IntegralAllocation(Record):
 
     def __init__(self, num_agents, owners):
         owners = tuple(owners)
+        num_agents = as_int(num_agents)
         if num_agents < 1:
             raise ValueError("an allocation needs at least one agent")
         # owners that are all plain ints in range pass in C-level passes;

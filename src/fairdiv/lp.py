@@ -18,6 +18,17 @@ feasibility recheck and the objective value skip zero coefficients, so no
 multiplication has a zero operand. Pricing and the ratio test need only
 signs, which they read from numerators (denominators are positive).
 
+Nor is one product formed twice in a pivot. Eliminating column j takes
+``f * p`` from each cell of a row whose column-j entry is ``f``, ``p``
+ranging over the scaled pivot row. Rows with the same ``|f|`` need the same
+products ``|f| * p``, so a pivot forms them once per distinct ``|f|`` and
+each such row, the objective row included, subtracts them (``f > 0``) or
+adds them (``f < 0``); for ``|f| == 1`` the products are the pivot row's
+cells themselves. ``v - f * p`` and ``v + |f| * p`` are the same rational,
+and a ``Fraction`` is held in lowest terms, so every cell, every pivot
+choice and every output is what the row-by-row update gives. The shared
+products live for one pivot only.
+
 Three paths of a general simplex cannot run on that program, so each
 raises InvariantViolation:
 
@@ -182,27 +193,38 @@ def _run_simplex(tab, basic, obj) -> None:
 
 
 def _pivot(tab, basic, obj, r, j):
+    """Pivot on cell (r, j): scale row r to a 1 at j, then take f = row[j]
+    times row r from every other row, ``obj`` included, with the products
+    ``|f| * p`` shared by the rows of one ``|f|`` (module docstring)."""
     prow = tab[r]
-    support = [k for k, v in enumerate(prow) if v]
     inv = Fraction(1) / prow[j]
     if inv != 1:
-        for k in support:
-            prow[k] *= inv
-    for row in tab:
-        if row is not prow and row[j]:
-            _eliminate(row, prow, j, support)
-    if obj[j]:
-        _eliminate(obj, prow, j, support)
+        for k, v in enumerate(prow):
+            if v:
+                prow[k] = v * inv
+    cells = [(k, v) for k, v in enumerate(prow) if v and k != j]
+    zero = Fraction(0)
+    shared = {(1, 1): cells}
+    for row in (*tab, obj):
+        f = row[j]
+        if not f or row is prow:
+            continue
+        n, d = f.numerator, f.denominator
+        key = (-n if n < 0 else n, d)
+        products = shared.get(key)
+        if products is None:
+            a = -f if n < 0 else f
+            products = shared[key] = [(k, a * p) for k, p in cells]
+        if n > 0:
+            for k, q in products:
+                v = row[k]
+                row[k] = v - q if v else -q
+        else:
+            for k, q in products:
+                v = row[k]
+                row[k] = v + q if v else q
+        row[j] = zero
     basic[r] = j
-
-
-def _eliminate(row, prow, j, support):
-    """row -= row[j] * prow over the pivot row's nonzero cells; a zero cell
-    of ``row`` becomes the negated product, with no subtraction from 0."""
-    f = row[j]
-    for k in support:
-        v = row[k]
-        row[k] = v - f * prow[k] if v else -(f * prow[k])
 
 
 def _drive_out_artificials(tab, basic, art_start):

@@ -111,6 +111,30 @@ def test_from_integer_rows_rejects_rows_that_are_not_canonical():
         Instance.from_integer_rows([(1, (1,))], [0])
 
 
+@pytest.mark.parametrize("rows", [
+    [(True, [True, 2]), (1, [False, 1])],
+    [(1, [True, 2])],
+    [(True, [1, 2])],
+    [(1.0, [1, 2])],
+    [(1, [1, 2.0])],
+    [(1, [1, Fraction(2)])],
+], ids=["bools", "bool-entry", "bool-d", "float-d", "float-entry", "fraction-entry"])
+def test_from_integer_rows_takes_ints_only(rows):
+    # print_instance would write a bool entry as "True", which
+    # parse_instance refuses; a float would fail deep in math.gcd
+    with pytest.raises(ValueError, match="^expected an int, got [A-Za-z]+$"):
+        Instance.from_integer_rows(rows)
+
+
+def test_from_integer_rows_stores_int_subclasses_as_ints():
+    class Index(int):
+        pass
+
+    inst = Instance.from_integer_rows([(Index(2), [Index(1), 3])])
+    assert inst.integer_rows == ((2, (1, 3)),)
+    assert {type(v) for d, row in inst.integer_rows for v in (d, *row)} == {int}
+
+
 def test_as_fraction_keeps_fractions_and_converts_ints():
     half = Fraction(1, 2)
     assert as_fraction(half) is half
@@ -219,6 +243,10 @@ def test_integral_allocation_bundles():
                 IntegralAllocation(2, owners)
     with pytest.raises(ValueError, match="at least one agent"):
         IntegralAllocation(0, (True,))
+    # the agent count is an int too: a bool or a float is refused, not kept
+    for bad in (True, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="^expected an int, got [A-Za-z]+$"):
+            IntegralAllocation(bad, (0,))
     # an int subclass that is not a bool is an agent index, as before
     class Agent(int):
         pass
