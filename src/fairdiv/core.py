@@ -230,13 +230,9 @@ class IntegralAllocation(Record):
         num_agents = as_int(num_agents)
         if num_agents < 1:
             raise ValueError("an allocation needs at least one agent")
-        # owners that are all plain ints in range pass in C-level passes;
-        # others, int subclasses included, are checked one by one
-        if owners and not (set(map(type, owners)) == {int}
-                           and 0 <= min(owners) and max(owners) < num_agents):
-            for a in owners:
-                if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < num_agents:
-                    raise ValueError("every item must be owned by a valid agent index")
+        for a in owners:
+            if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < num_agents:
+                raise ValueError("every item must be owned by a valid agent index")
         object.__setattr__(self, "num_agents", num_agents)
         object.__setattr__(self, "owners", owners)
 

@@ -140,10 +140,7 @@ def _table_rows(utilities: list, num_items: int):
                 lcd = grown
             scale.update({v: p * (lcd // q) for v, (p, q) in pairs.items()})
             scaled = pick(scale)
-        # gcd(L, *scaled), cut short: most rows reach 1 in a few entries
-        g = gcd(lcd, *scaled[:8])
-        if g > 1:
-            g = gcd(g, *scaled[8:])
+        g = gcd(lcd, *scaled)
         if g > 1:
             scaled = pick({v: scale[v] // g for v in set(row)})
         rows.append((lcd // g, scaled))
@@ -224,22 +221,14 @@ def print_instance(instance: Instance, agent_ids, item_ids) -> dict:
 def parse_allocation(doc, agent_ids, item_ids) -> IntegralAllocation:
     """Read an {"owner": {item: agent}} document against known ids.
 
-    A document that names every item once, each with a known agent id
-    string, is read in C-level passes; any other is read pair by pair in
-    document order, so the error names its first fault."""
+    The document is read pair by pair in document order, so the error
+    names its first fault."""
     if not isinstance(doc, dict) or not isinstance(doc.get("owner"), dict):
         raise ValueError('allocation document must be {"owner": {item: agent}}')
-    owner = doc["owner"]
     agent_index = dict(zip(agent_ids, range(len(agent_ids))))
-    if (len(owner) == len(item_ids) and owner.keys() == set(item_ids)
-            and all(map(isinstance, owner.values(), repeat(str)))
-            and agent_index.keys() >= set(owner.values())):
-        # the keys are the item ids, each once, and every owner is known
-        owners = tuple(map(agent_index.__getitem__, map(owner.__getitem__, item_ids)))
-        return IntegralAllocation(len(agent_ids), owners)
     item_index = {o: j for j, o in enumerate(item_ids)}
     owners = [None] * len(item_ids)
-    for item, agent in owner.items():
+    for item, agent in doc["owner"].items():
         if item not in item_index:
             raise ValueError(f"unknown item id {reprlib.repr(item)}")
         if not isinstance(agent, str):
@@ -248,11 +237,10 @@ def parse_allocation(doc, agent_ids, item_ids) -> IntegralAllocation:
         if agent not in agent_index:
             raise ValueError(f"unknown agent id {reprlib.repr(agent)}")
         owners[item_index[item]] = agent_index[agent]
-    # Every pair passed, so had every item an owner, the keys would be the
-    # item ids, each once, each mapped to a known agent id string: a
-    # document the C-level read above has returned already.
     unassigned = [item_ids[j] for j, v in enumerate(owners) if v is None]
-    raise ValueError(f"allocation assigns no owner to {reprlib.repr(unassigned)}")
+    if unassigned:
+        raise ValueError(f"allocation assigns no owner to {reprlib.repr(unassigned)}")
+    return IntegralAllocation(len(agent_ids), owners)
 
 
 def print_allocation(allocation: IntegralAllocation, agent_ids, item_ids) -> dict:

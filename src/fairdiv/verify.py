@@ -86,18 +86,21 @@ def weighted_prop1(instance: Instance, allocation: IntegralAllocation) -> Proper
 
     An agent is satisfied if its bundle meets the weighted share outright,
     or would after adding one item it does not own, or after removing one
-    item it does own. The witness carries the certifying rule and item; for
-    a failing agent it carries the best adjustment available, whose
-    adjusted value still falls short of the bound. Ties go to the lowest
-    index: the item added is the lowest-index unowned item of greatest
-    value, the item removed the lowest-index owned item of least value.
+    item it does own. The item added is the lowest-index unowned item of
+    greatest value, the item removed the lowest-index owned item of least
+    value. The witness is the bundle if it meets the bound, else the first
+    of the addition and the removal that meets it, else the better of the
+    two, ties to the addition.
+
+    A failing witness always names an item: the bundle itself would beat
+    both adjustments only if every unowned value were <= 0 and every owned
+    one >= 0, and then value >= max(total, 0) >= b_i * total.
 
     Items are chosen and compared on the agent's integer row N over d: with
     weight p/q and total T = sum(N), "v/d >= (p/q)(T/d)" is "v*q >= p*T".
     """
     _require_integral(allocation)
     _check_shape(instance, allocation)
-    owners = allocation.owners
     witnesses = []
     for i, ((d, row), owned) in enumerate(zip(instance.integer_rows, allocation.bundles())):
         value = sum(map(row.__getitem__, owned))
@@ -107,34 +110,22 @@ def weighted_prop1(instance: Instance, allocation: IntegralAllocation) -> Proper
             witnesses.append(AgentWitness(i, True, MEETS_BOUND, None, Fraction(value, d),
                                           Fraction(need, q * d), Fraction(value, d)))
             continue
-        best_add = best_rm = None
+        options = []
         if len(owned) < len(row):
-            # the row's first maximum is the lowest-index best unowned item
-            # unless the agent owns it; only then are the owned items masked
-            # below every value in a copy
-            best_add = row.index(max(row))
-            if owners[best_add] == i:
-                masked = list(row)
-                low = min(row) - 1
-                for o in owned:
-                    masked[o] = low
-                best_add = masked.index(max(masked))
+            # owned items masked below every value in a copy, whose first
+            # maximum is then the lowest-index best unowned item
+            masked = list(row)
+            low = min(row) - 1
+            for o in owned:
+                masked[o] = low
+            add = masked.index(max(masked))
+            options.append((value + row[add], ADD_ITEM, add))
         if owned:
-            best_rm = min(owned, key=row.__getitem__)  # the first minimum
-
-        if best_add is not None and (value + row[best_add]) * q >= need:
-            ok, rule, item, adjusted = True, ADD_ITEM, best_add, value + row[best_add]
-        elif best_rm is not None and (value - row[best_rm]) * q >= need:
-            ok, rule, item, adjusted = True, REMOVE_ITEM, best_rm, value - row[best_rm]
-        else:
-            options = [(value, None, None)]
-            if best_add is not None:
-                options.append((value + row[best_add], ADD_ITEM, best_add))
-            if best_rm is not None:
-                options.append((value - row[best_rm], REMOVE_ITEM, best_rm))
-            ok = False
-            adjusted, rule, item = max(options, key=lambda t: t[0])
-        witnesses.append(AgentWitness(i, ok, rule, item, Fraction(value, d),
+            remove = min(owned, key=row.__getitem__)  # the first minimum
+            options.append((value - row[remove], REMOVE_ITEM, remove))
+        meets = [t for t in options if t[0] * q >= need]
+        adjusted, rule, item = meets[0] if meets else max(options, key=lambda t: t[0])
+        witnesses.append(AgentWitness(i, bool(meets), rule, item, Fraction(value, d),
                                       Fraction(need, q * d), Fraction(adjusted, d)))
     return _report("weighted-prop1", witnesses)
 
@@ -154,7 +145,6 @@ def propx(instance: Instance, allocation: IntegralAllocation) -> PropertyReport:
     _require_integral(allocation)
     _check_shape(instance, allocation)
     n = instance.num_agents
-    owners = allocation.owners
     witnesses = []
     for i, ((d, row), owned) in enumerate(zip(instance.integer_rows, allocation.bundles())):
         value = sum(map(row.__getitem__, owned))
@@ -164,17 +154,13 @@ def propx(instance: Instance, allocation: IntegralAllocation) -> PropertyReport:
             witnesses.append(AgentWitness(i, True, MEETS_BOUND, None,
                                           bundle_value, bound, bundle_value))
             continue
-        # the row's least positive entry, at its first place, is the least
-        # unowned good unless the agent owns that place; only then are the
-        # owned items masked to 0 in a copy
-        good = min(filter((0).__lt__, row), default=None)
-        item = None if good is None else row.index(good)
-        if item is not None and owners[item] == i:
-            masked = list(row)
-            for o in owned:
-                masked[o] = 0
-            good = min(filter((0).__lt__, masked), default=None)
-            item = None if good is None else masked.index(good)
+        # owned items masked to 0 in a copy, whose least positive entry, at
+        # its first place, is then the least unowned good
+        masked = list(row)
+        for o in owned:
+            masked[o] = 0
+        good = min(filter((0).__lt__, masked), default=None)
+        item = None if good is None else masked.index(good)
         chores = [o for o in owned if row[o] < 0]
         if chores:
             chore = max(chores, key=row.__getitem__)  # the first maximum
