@@ -230,11 +230,17 @@ class IntegralAllocation(Record):
         num_agents = as_int(num_agents)
         if num_agents < 1:
             raise ValueError("an allocation needs at least one agent")
+        plain = True
         for a in owners:
-            if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < num_agents:
+            if type(a) is not int:
+                if isinstance(a, bool) or not isinstance(a, int):
+                    raise ValueError("every item must be owned by a valid agent index")
+                plain = False
+            if not 0 <= a < num_agents:
                 raise ValueError("every item must be owned by a valid agent index")
         object.__setattr__(self, "num_agents", num_agents)
-        object.__setattr__(self, "owners", owners)
+        # an int subclass is stored as the int it is, as as_int stores it
+        object.__setattr__(self, "owners", owners if plain else tuple(map(int, owners)))
 
     @property
     def num_items(self) -> int:

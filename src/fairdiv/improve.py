@@ -49,25 +49,9 @@ def proportional_seed(instance: Instance) -> FractionalAllocation:
 
 def dominance_welfare_lp(instance: Instance, baseline: FractionalAllocation) -> LpProblem:
     """LP over allocations: max total welfare s.t. nobody falls below their
-    baseline utility and items are fully allocated. Variables are x[i][o]
-    flattened to index i*m + o; coefficient ``u_i(o)`` is
-    ``Fraction(N_i[o], d_i)`` from the integer rows."""
-    n, m = instance.num_agents, instance.num_items
-    num_vars = n * m
-    zero = Fraction(0)
-    objective = [Fraction(v, d) for d, row in instance.integer_rows for v in row]
-
-    constraints = []
-    for i, floor in enumerate(utilities(instance, baseline)):
-        coeffs = [zero] * num_vars
-        coeffs[i * m:(i + 1) * m] = objective[i * m:(i + 1) * m]
-        constraints.append((tuple(coeffs), ">=", floor))
-    for o in range(m):
-        coeffs = [zero] * num_vars
-        for i in range(n):
-            coeffs[i * m + o] = Fraction(1)
-        constraints.append((tuple(coeffs), "=", Fraction(1)))
-    return LpProblem(num_vars, tuple(objective), tuple(constraints))
+    baseline utility and items are fully allocated. ``LpProblem`` states it
+    as the instance and the baseline utilities, the agents' floors."""
+    return LpProblem(instance, utilities(instance, baseline))
 
 
 def improve_to_acyclic_fpo(instance: Instance) -> tuple:

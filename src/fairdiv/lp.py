@@ -1,22 +1,23 @@
 """Exact linear programming: the improvement LP's two-phase simplex over rationals.
 
-The one program solved is ``improve.dominance_welfare_lp``: maximize welfare
-with a ">=" row per agent (its baseline utility), an "=" row per item (fully
-allocated) and every variable nonnegative. Arithmetic is
-``fractions.Fraction`` throughout, so optima are exact. Pivoting follows
-Bland's rule (lowest eligible index enters, ties in the ratio test broken by
-lowest basic index), which rules out cycling and makes the solver fully
-deterministic: a fixed problem always yields the same optimal basis, hence
-the same vertex. That vertex is an extreme point of the feasible region,
-which the improvement stage relies on: extreme points of allocation
-polytopes have sparse support.
+The one program solved is the improvement LP, stated by ``LpProblem`` as
+an instance and a floor per agent: maximize welfare with a row per agent
+(utility at least its floor), a row per item (fully allocated) and every
+variable nonnegative. Arithmetic is ``fractions.Fraction`` throughout, so
+optima are exact. Pivoting follows Bland's rule (lowest eligible index
+enters, ties in the ratio test broken by lowest basic index), which rules
+out cycling and makes the solver fully deterministic: a fixed problem
+always yields the same optimal basis, hence the same vertex. That vertex is
+an extreme point of the feasible region, which the improvement stage relies
+on: extreme points of allocation polytopes have sparse support.
 
 No ``Fraction`` work goes to a cell known to be zero. A pivot scales and
 eliminates with the pivot row's nonzero cells only, a zero cell that fills
-in is the negated product rather than a subtraction from 0, and the
-feasibility recheck and the objective value skip zero coefficients, so no
-multiplication has a zero operand. Pricing and the ratio test need only
-signs, which they read from numerators (denominators are positive).
+in is the negated product rather than a subtraction from 0, the
+feasibility recheck skips zero coefficients, and the objective value is
+read off the final objective row, so no multiplication has a zero operand.
+Pricing and the ratio test need only signs, which they read from numerators
+(denominators are positive).
 
 Nor is one product formed twice in a pivot. Eliminating column j takes
 ``f * p`` from each cell of a row whose column-j entry is ``f``, ``p``
@@ -33,7 +34,7 @@ Three paths of a general simplex cannot run on that program, so each
 raises InvariantViolation:
 
 - phase 1 ending above 0 (no feasible point): the baseline allocation
-  meets every row;
+  whose utilities are the floors meets every row;
 - no leaving row in phase 2 (unbounded): every ``x_io`` lies in [0, 1],
   since ``sum_j x_jo = 1``;
 - after phase 1, a basic artificial whose row has no nonzero real column
@@ -49,37 +50,30 @@ from fairdiv.core import InvariantViolation, Record, as_fraction
 
 
 class LpProblem(Record):
-    """max objective . x  subject to  constraints, x >= 0.
+    """max sum_io u_i(o) x_io  subject to  sum_o u_i(o) x_io >= floors[i]
+    for every agent i, sum_i x_io = 1 for every item o, and x >= 0, with
+    ``u`` read off ``instance.integer_rows`` and x_io variable i*m + o.
+    ``num_vars`` and ``constraints`` (the right-hand sides in row order:
+    the floors, then a 1 per item) give its size."""
 
-    Each constraint is a triple (coefficients, relation, rhs) with relation
-    ">=" or "=". Nonnegativity of every variable is implicit.
-    """
+    _fields = ("instance", "floors")
 
-    _fields = ("num_vars", "objective", "constraints")
+    def __init__(self, instance, floors):
+        floors = tuple(as_fraction(f) for f in floors)
+        if len(floors) != instance.num_agents:
+            raise ValueError("the improvement LP needs one floor per agent")
+        super().__init__(instance, floors)
 
-    def __init__(self, num_vars, objective, constraints):
-        obj = tuple(as_fraction(c) for c in objective)
-        if len(obj) != num_vars:
-            raise ValueError("objective length must equal num_vars")
-        rows = []
-        for coeffs, rel, rhs in constraints:
-            coeffs = tuple(as_fraction(c) for c in coeffs)
-            if len(coeffs) != num_vars:
-                raise ValueError("constraint width must equal num_vars")
-            if rel not in (">=", "="):
-                raise ValueError(f"unknown relation {rel!r}")
-            rows.append((coeffs, rel, as_fraction(rhs)))
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(rows))
+    num_vars = property(lambda self: self.instance.num_agents * self.instance.num_items)
+    constraints = property(lambda self: self.floors + (Fraction(1),) * self.instance.num_items)
 
 
 class LpSolution(Record):
     """An optimal vertex: ``assignment`` attains ``value``.
 
     ``duals`` holds one entry per constraint, in ``problem.constraints``
-    order: for a ">=" row, its shadow price (the rate at which the optimal
-    value moves with that row's rhs, <= 0), and None for an "=" row. The
+    order: for an agent row, its shadow price (the rate at which the optimal
+    value moves with that row's floor, <= 0), and None for an item row. The
     shadow prices form an optimal dual solution, so complementary slackness
     ties them to every optimal assignment.
     """
@@ -92,66 +86,65 @@ def solve(problem: LpProblem) -> LpSolution:
     tab, basic, art_start = _standard_form(problem)
     n_struct = problem.num_vars
 
-    if any(b >= art_start for b in basic):
-        cost1 = [Fraction(0)] * art_start + [Fraction(-1)] * (len(tab[0]) - 1 - art_start)
-        obj = _reduced_costs(tab, basic, cost1)
-        _run_simplex(tab, basic, obj)
-        if obj[-1] != 0:
-            raise InvariantViolation("the LP has no feasible point")
-        _drive_out_artificials(tab, basic, art_start)
-        tab = [row[:art_start] + [row[-1]] for row in tab]
+    cost1 = [Fraction(0)] * art_start + [Fraction(-1)] * (len(tab[0]) - 1 - art_start)
+    obj = _reduced_costs(tab, basic, cost1)
+    _run_simplex(tab, basic, obj)
+    if obj[-1] != 0:
+        raise InvariantViolation("the LP has no feasible point")
+    _drive_out_artificials(tab, basic, art_start)
+    tab = [row[:art_start] + [row[-1]] for row in tab]
 
-    cost2 = list(problem.objective) + [Fraction(0)] * (art_start - n_struct)
-    obj = _reduced_costs(tab, basic, cost2)
+    cost2 = [Fraction(v, d) for d, row in problem.instance.integer_rows for v in row]
+    obj = _reduced_costs(tab, basic, cost2 + [Fraction(0)] * (art_start - n_struct))
     _run_simplex(tab, basic, obj)
 
     support = [(b, tab[r][-1]) for r, b in enumerate(basic) if b < n_struct and tab[r][-1]]
     assignment = [Fraction(0)] * n_struct
     for j, x in support:
         assignment[j] = x
-    value = sum((problem.objective[j] * x for j, x in support if problem.objective[j]),
-                Fraction(0))
     _recheck_feasible(problem, support)
     # Every row operation keeps obj equal to cost - y . A for some multipliers
     # y on the original rows, and at optimality y is an optimal dual solution.
-    # A ">=" row's slack column has coefficient -1 in that row and 0 in every
-    # other, so its reduced cost is the row's y. Artificial columns are gone
-    # by phase 2, which is why "=" rows get None.
-    slack = iter(obj[n_struct:art_start])
-    duals = tuple(next(slack) if rel == ">=" else None for _, rel, _ in problem.constraints)
-    return LpSolution(value, tuple(assignment), duals)
+    # Agent i's slack is -1 in its row as stated and 0 in every other, so its
+    # reduced cost is the row's y. Item rows have no slack: they get None.
+    duals = tuple(obj[n_struct:art_start]) + (None,) * problem.instance.num_items
+    return LpSolution(-obj[-1], tuple(assignment), duals)
 
 
 def _standard_form(problem: LpProblem):
     """Equality tableau with rhs >= 0 and its starting basis.
 
-    The k-th ">=" row gets slack column ``num_vars + k``. A ">=" row with
-    nonpositive rhs is negated so its slack can start basic; every other
-    row gets an artificial column, numbered from ``art_start`` on, after
-    negation if its rhs is negative.
+    Agent i's row holds ``Fraction(N_i[o], d_i)``, unscaled: times ``d_i``,
+    phase 1's reduced cost ``u_i(o) + 1`` would be ``N_i[o] + 1``, and
+    Bland's rule would take other pivots. Its slack is column nm + i, and
+    the row is negated when its floor is <= 0, so that the slack can start
+    basic. Every other row gets an artificial column, from ``art_start`` on
+    in row order.
     """
-    n_struct = problem.num_vars
-    rows = problem.constraints
-    art_start = n_struct + sum(1 for _, rel, _ in rows if rel == ">=")
-    width = art_start + sum(1 for _, rel, rhs in rows if rel == "=" or rhs > 0) + 1
-
-    tab = []
-    basic = []
-    slack_col = n_struct
-    art_col = art_start
-    for coeffs, rel, rhs in rows:
-        flip = rhs < 0 or (rhs == 0 and rel == ">=")
-        row = [-c for c in coeffs] if flip else list(coeffs)
-        row += [Fraction(0)] * (width - n_struct - 1) + [-rhs if flip else rhs]
-        if rel == ">=":
-            row[slack_col] = Fraction(1 if flip else -1)
-            slack_col += 1
-        if rel == ">=" and flip:
-            basic.append(slack_col - 1)
-        else:
-            row[art_col] = Fraction(1)
-            basic.append(art_col)
-            art_col += 1
+    instance = problem.instance
+    n, m = instance.num_agents, instance.num_items
+    nm = n * m
+    art_start = nm + n
+    width = art_start + sum(1 for f in problem.floors if f > 0) + m + 1
+    arts = iter(range(art_start, width - 1))
+    zero, one = Fraction(0), Fraction(1)
+    tab, basic = [], []
+    for i, ((d, values), floor) in enumerate(zip(instance.integer_rows, problem.floors)):
+        row = [zero] * width
+        flip = floor <= 0
+        for o, v in enumerate(values):
+            if v:
+                row[i * m + o] = Fraction(-v if flip else v, d)
+        row[nm + i] = one if flip else -one
+        row[-1] = -floor if flip else floor
+        basic.append(nm + i if flip else next(arts))
+        row[basic[-1]] = one
+        tab.append(row)
+    for o in range(m):
+        row = [zero] * width
+        row[o:nm:m] = [one] * n
+        basic.append(next(arts))
+        row[basic[-1]] = row[-1] = one
         tab.append(row)
     return tab, basic, art_start
 
@@ -241,10 +234,17 @@ def _drive_out_artificials(tab, basic, art_start):
 
 def _recheck_feasible(problem: LpProblem, support) -> None:
     """Substitute the solution, given as its nonzero ``(index, value)``
-    entries, back into the original constraints."""
-    if any(x < 0 for _, x in support):
-        raise InvariantViolation("solver produced a negative variable")
-    for coeffs, rel, rhs in problem.constraints:
-        lhs = sum((coeffs[j] * x for j, x in support if coeffs[j]), Fraction(0))
-        if not (lhs >= rhs if rel == ">=" else lhs == rhs):
-            raise InvariantViolation("solver produced an infeasible point")
+    entries, back into the integer rows: every agent at its floor, every
+    item summing to 1."""
+    rows, m = problem.instance.integer_rows, problem.instance.num_items
+    got, shares = [Fraction(0)] * len(rows), [Fraction(0)] * m
+    for j, x in support:
+        if x < 0:
+            raise InvariantViolation("solver produced a negative variable")
+        i, o = divmod(j, m)
+        if rows[i][1][o]:
+            got[i] += rows[i][1][o] * x
+        shares[o] += x
+    if (any(s != 1 for s in shares)
+            or any(g / d < floor for g, (d, _), floor in zip(got, rows, problem.floors))):
+        raise InvariantViolation("solver produced an infeasible point")

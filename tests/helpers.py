@@ -23,7 +23,6 @@ from fairdiv.core import (
     IntegralAllocation,
     utilities,
 )
-from fairdiv.improve import dominance_welfare_lp
 from fairdiv.verify import ADD_ITEM, MEETS_BOUND, REMOVE_ITEM, AgentWitness, PropertyReport
 from reference_lp import INFEASIBLE, OPTIMAL, LpProblem, solve
 
@@ -211,6 +210,30 @@ def rand_lp(rng: random.Random):
         cons.append((coeffs, rel, rhs))
     objective = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
     return LpProblem(k, tuple(objective), tuple(cons))
+
+
+def general_welfare_lp(instance: Instance, floors) -> LpProblem:
+    """The improvement LP that ``fairdiv.lp.LpProblem(instance, floors)``
+    states, written out as the reference solver reads a program: max total
+    welfare s.t. agent i's utility >= ``floors[i]`` and every item fully
+    allocated. Variables are x[i][o] flattened to index i*m + o;
+    coefficient ``u_i(o)`` is ``Fraction(N_i[o], d_i)`` from the integer
+    rows."""
+    n, m = instance.num_agents, instance.num_items
+    num_vars = n * m
+    zero = Fraction(0)
+    objective = [v for row in fraction_matrix(instance) for v in row]
+    constraints = []
+    for i, floor in enumerate(floors):
+        coeffs = [zero] * num_vars
+        coeffs[i * m:(i + 1) * m] = objective[i * m:(i + 1) * m]
+        constraints.append((tuple(coeffs), ">=", floor))
+    for o in range(m):
+        coeffs = [zero] * num_vars
+        for i in range(n):
+            coeffs[i * m + o] = Fraction(1)
+        constraints.append((tuple(coeffs), "=", Fraction(1)))
+    return LpProblem(num_vars, tuple(objective), tuple(constraints))
 
 
 def blend(x: FractionalAllocation, y: FractionalAllocation, theta: Fraction) -> FractionalAllocation:
@@ -574,7 +597,7 @@ def lp_pareto_improvement_exists(instance: Instance, allocation) -> bool:
     agent held to its current utility."""
     if isinstance(allocation, IntegralAllocation):
         allocation = to_fractional(allocation)
-    solution = solve(dominance_welfare_lp(instance, allocation))
+    solution = solve(general_welfare_lp(instance, utilities(instance, allocation)))
     assert solution.status == OPTIMAL, solution.status
     return solution.value > sum(utilities(instance, allocation), Fraction(0))
 

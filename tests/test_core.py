@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import enum
 import pickle
 import random
 from decimal import Decimal
@@ -159,9 +160,9 @@ def test_as_fraction_keeps_fractions_and_converts_ints():
     lambda: Instance([["1_0"]]),
     lambda: Instance([[1], [1]], weights=["1", "1"]),
     lambda: FractionalAllocation((("1",),)),
-    lambda: LpProblem(1, ("1",), ()),
+    lambda: LpProblem(Instance([[1]]), ("1",)),
 ], ids=["ratio", "exponent", "decimal", "float", "utilities", "weights", "shares",
-        "lp-objective"])
+        "lp-floor"])
 def test_library_reads_no_text_and_points_to_parse_rational(build):
     # text has one reader, bounded and the same on every Python version
     with pytest.raises(ValueError, match="^expected an int or Fraction, got [A-Za-z]+; read "
@@ -254,6 +255,17 @@ def test_integral_allocation_bundles():
     mixed = IntegralAllocation(2, [Agent(1), 0, Agent(0)])
     assert mixed.owners == (1, 0, 0) and mixed.bundles() == ((1, 2), (0,))
     assert IntegralAllocation(1, ()).owners == ()
+
+
+def test_integral_allocation_stores_int_subclasses_as_ints():
+    class A(enum.IntEnum):
+        X = 0
+        Y = 1
+
+    alloc = IntegralAllocation(2, (A.Y, 0, A.X))
+    assert alloc.owners == (1, 0, 0) and {type(a) for a in alloc.owners} == {int}
+    assert repr(alloc) == "IntegralAllocation(num_agents=2, owners=(1, 0, 0))"
+    assert alloc == IntegralAllocation(2, (1, 0, 0))
 
 
 def test_allocation_shape_must_match_instance():
@@ -358,8 +370,7 @@ VALUE_TYPES = {
     IntegralAllocation: (("num_agents", "owners"), lambda k: IntegralAllocation(2, (0, k - 1))),
     ConsumptionGraph: (("agent_items", "item_agents"),
                        lambda k: ConsumptionGraph(((0,), (k,)), ((0,), (1,)))),
-    LpProblem: (("num_vars", "objective", "constraints"),
-                lambda k: LpProblem(2, (1, k), (((1, 0), ">=", 0), ((1, 1), "=", 1)))),
+    LpProblem: (("instance", "floors"), lambda k: LpProblem(Instance([[1, 2]]), (k,))),
     LpSolution: (("value", "assignment", "duals"),
                  lambda k: LpSolution(Fraction(k), (Fraction(1), Fraction(0)),
                                       (Fraction(0), None))),

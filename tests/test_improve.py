@@ -25,7 +25,7 @@ from fairdiv.improve import (
     improve_to_acyclic_fpo,
     proportional_seed,
 )
-from fairdiv.lp import LpProblem, LpSolution, solve
+from fairdiv.lp import LpSolution, solve
 from fairdiv.rounding import allocate
 from fairdiv.serialize import print_instance
 from helpers import (
@@ -36,6 +36,7 @@ from helpers import (
     rand_instance,
     vertex_enumeration_optimum,
 )
+from reference_lp import LpProblem
 
 F = Fraction
 

@@ -17,6 +17,7 @@ from helpers import (
     GOODS_BLOCKS_Y,
     IDENTICAL_ITEMS_BALANCED,
     chores_blocks_instance,
+    general_welfare_lp,
     goods_blocks_instance,
     identical_items_instance,
     is_vertex,
@@ -231,10 +232,10 @@ def _improvement_lp(instance, baseline=None):
 
 
 def _agrees_with_the_reference(problem):
-    """Solve ``problem`` with both solvers, check that the library's
-    solution is exactly the reference's (value, assignment, duals), and
-    return it."""
-    expected = solve(problem)
+    """Solve ``problem`` with the library and its general statement with the
+    reference, check that the library's solution is exactly the reference's
+    (value, assignment, duals), and return it."""
+    expected = solve(general_welfare_lp(problem.instance, problem.floors))
     assert expected.status == OPTIMAL
     got = fairdiv.lp.solve(problem)
     assert (got.value, got.assignment, got.duals) == (expected.value, expected.assignment,
@@ -347,9 +348,9 @@ def test_library_simplex_never_multiplies_by_zero(monkeypatch):
 def test_library_simplex_forms_each_product_once_per_pivot(monkeypatch):
     # a pivot multiplies its row's cells by each distinct |multiplier| once,
     # and by 1 not at all; forming the products row by row, as a textbook
-    # elimination does, takes 120,546 multiplications on these two LPs
+    # elimination does, takes 120,430 multiplications on these two LPs
     counts = _count_multiplications(monkeypatch, _panel_shape_lps())
-    assert counts == {"all": 64_586, "zero": 0}
+    assert counts == {"all": 64_470, "zero": 0}
 
 
 @st.composite
@@ -383,27 +384,47 @@ def test_library_simplex_matches_the_reference_on_random_improvement_lps(instanc
     problem = _improvement_lp(instance)
     got = _agrees_with_the_reference(problem)
     if instance.num_agents * instance.num_items <= 6:
-        assert got.value == vertex_enumeration_optimum(problem)[0]
+        general = general_welfare_lp(instance, problem.floors)
+        assert got.value == vertex_enumeration_optimum(general)[0]
 
 
-@pytest.mark.parametrize("constraints, message", [
-    ([((1,), ">=", 2), ((1,), "=", 1)], "no feasible point"),
-    ([((1,), ">=", 0)], "unbounded"),
-    ([((1,), "=", 1), ((1,), "=", 1)], "linearly dependent"),
+def _refuse_infeasible():
+    # one item worth 1 to the one agent, whose floor is 2
+    fairdiv.lp.solve(fairdiv.lp.LpProblem(Instance([[1]]), (F(2),)))
+
+
+def _refuse_unbounded():
+    # column 0 prices positive and no row bounds it: x0 - x1 = 0, x1 basic
+    fairdiv.lp._run_simplex([[F(-1), F(1), F(0)]], [1], [F(1), F(0), F(0)])
+
+
+def _refuse_repeated_equality():
+    # after phase 1 of x0 = 1, x0 = 1 with x0 basic in the first row, the
+    # second row's artificial is basic on a row of zeros
+    tab = [[F(1), F(1), F(0), F(1)], [F(0), F(-1), F(1), F(0)]]
+    fairdiv.lp._drive_out_artificials(tab, [0, 2], 1)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (_refuse_infeasible, "no feasible point"),
+    (_refuse_unbounded, "unbounded"),
+    (_refuse_repeated_equality, "linearly dependent"),
 ], ids=["infeasible", "unbounded", "repeated-equality"])
-def test_library_simplex_refuses_what_the_improvement_lp_never_is(constraints, message):
-    problem = fairdiv.lp.LpProblem(1, (Fraction(1),), tuple(constraints))
+def test_library_simplex_refuses_what_the_improvement_lp_never_is(refuse, message):
     with pytest.raises(InvariantViolation, match=message):
-        fairdiv.lp.solve(problem)
+        refuse()
 
 
-def test_library_lp_rejects_less_equal_rows():
-    with pytest.raises(ValueError, match="unknown relation '<='"):
-        fairdiv.lp.LpProblem(1, (1,), (((1,), "<=", 1),))
-    with pytest.raises(ValueError, match="^objective length must equal num_vars$"):
-        fairdiv.lp.LpProblem(2, (1,), ())
-    with pytest.raises(ValueError, match="^constraint width must equal num_vars$"):
-        fairdiv.lp.LpProblem(2, (1, 1), (((1,), ">=", 1),))
+def test_library_lp_states_the_improvement_lp_only():
+    inst = Instance([[1, -2, 0], [F(1, 2), 3, 1]])
+    problem = fairdiv.lp.LpProblem(inst, [1, F(-1, 2)])
+    assert problem.floors == (1, F(-1, 2))
+    assert all(type(f) is Fraction for f in problem.floors)
+    assert (problem.num_vars, problem.constraints) == (6, (1, F(-1, 2), 1, 1, 1))
+    with pytest.raises(ValueError, match="^the improvement LP needs one floor per agent$"):
+        fairdiv.lp.LpProblem(inst, (1,))
+    with pytest.raises(ValueError, match="^expected an int or Fraction, got str"):
+        fairdiv.lp.LpProblem(inst, (1, "1"))
 
 
 @pytest.mark.parametrize("support, message", [
@@ -412,7 +433,7 @@ def test_library_lp_rejects_less_equal_rows():
 ], ids=["negative", "infeasible"])
 def test_library_recheck_refuses_a_point_off_the_feasible_region(support, message):
     # solve never hands such a point over; the recheck is its last guard
-    problem = fairdiv.lp.LpProblem(1, (Fraction(1),), (((1,), "=", 1),))
+    problem = fairdiv.lp.LpProblem(Instance([[1]]), (F(1),))
     fairdiv.lp._recheck_feasible(problem, [(0, Fraction(1))])
     with pytest.raises(InvariantViolation, match=f"^solver produced an? {message}$"):
         fairdiv.lp._recheck_feasible(problem, support)

@@ -42,14 +42,16 @@ def test_traced_cli_prints_the_goldens_and_restores_the_program():
             assert code == case["exit"] == exit_code, name
             assert err == case["stderr"], name
             assert out == (GOLDEN / f"{name}.stdout").read_text("utf-8"), name
-    lp_details = [details for name, *_, details in tracer.spans if name == "lp.solve"]
-    assert lp_details
-    for details in lp_details:
-        assert set(details) == {"vars", "rows", "bits"}
-        assert details["vars"] > 0 and details["rows"] > 0
+    # the solve runs one LP, the 3x31 improvement LP: 93 variables and
+    # 34 rows; the verify runs none
+    solve_op = list(TRACED_CASES).index("solve-goods_blocks")
+    lp_details = [(op, details) for name, *_, op, details in tracer.spans if name == "lp.solve"]
+    assert [op for op, _ in lp_details] == [solve_op]
+    details = lp_details[0][1]
+    assert set(details) == {"vars", "rows", "bits"}
+    assert (details["vars"], details["rows"]) == (93, 34)
     # the solve looks for a cycle on the improvement LP's vertex and again
     # before rounding it, so both bindings of core.find_cycle are timed
-    solve_op = list(TRACED_CASES).index("solve-goods_blocks")
     cycle_callers = {tracer.spans[parent][0] for name, _, _, parent, op, _ in tracer.spans
                      if name == "core.find_cycle" and op == solve_op}
     assert cycle_callers == {"improve.improve_to_acyclic_fpo", "rounding.round_acyclic"}
