@@ -394,7 +394,7 @@ def _refuse_infeasible():
 
 
 def _refuse_unbounded():
-    # column 0 prices positive and no row bounds it: x0 - x1 = 0, x1 basic
+    # column 0 prices positive and no row bounds it: -x0 + x1 = 0, x1 basic
     fairdiv.lp._run_simplex([[F(-1), F(1), F(0)]], [1], [F(1), F(0), F(0)])
 
 
@@ -430,10 +430,12 @@ def test_library_lp_states_the_improvement_lp_only():
 @pytest.mark.parametrize("support, message", [
     ([(0, -1)], "negative variable"),
     ([(0, 2)], "infeasible point"),
-], ids=["negative", "infeasible"])
+    ([(1, 1)], "infeasible point"),
+], ids=["negative", "infeasible", "below-floor"])
 def test_library_recheck_refuses_a_point_off_the_feasible_region(support, message):
-    # solve never hands such a point over; the recheck is its last guard
-    problem = fairdiv.lp.LpProblem(Instance([[1]]), (F(1),))
+    # solve never hands such a point over; the recheck is its last guard.
+    # One item, worth 1 to both agents; agent 0's floor is 1
+    problem = fairdiv.lp.LpProblem(Instance([[1], [1]]), (F(1), F(0)))
     fairdiv.lp._recheck_feasible(problem, [(0, Fraction(1))])
     with pytest.raises(InvariantViolation, match=f"^solver produced an? {message}$"):
         fairdiv.lp._recheck_feasible(problem, support)
