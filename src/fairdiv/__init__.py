@@ -17,11 +17,7 @@ from fairdiv.core import (
     proportional_share,
     utilities,
 )
-from fairdiv.improve import (
-    dominance_welfare_lp,
-    improve_to_acyclic_fpo,
-    proportional_seed,
-)
+from fairdiv.improve import dominance_welfare_lp, improve_to_acyclic_fpo
 from fairdiv.rounding import (
     PipelineResult,
     allocate,
@@ -59,7 +55,6 @@ __all__ = [
     "is_pareto_optimal_integral",
     "pareto_dominates",
     "pareto_improvement_exists",
-    "proportional_seed",
     "proportional_share",
     "propx",
     "round_acyclic",

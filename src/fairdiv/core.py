@@ -62,8 +62,6 @@ def integer_row(ratios) -> tuple:
     that ``u(o) = N[o] / d``. That ``d`` is the least common denominator,
     which makes the row canonical."""
     d = math.lcm(*{q for _, q in ratios})
-    if d == 1:
-        return 1, tuple([p for p, _ in ratios])
     return d, tuple([p * (d // q) for p, q in ratios])
 
 

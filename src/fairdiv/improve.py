@@ -1,22 +1,23 @@
-"""Improvement stage: from a proportional seed to an acyclic fPO allocation.
+"""Improvement stage: from the proportional shares to an acyclic fPO allocation.
 
-The seed hands every agent its entitlement share of every item, which is
-weighted-proportional by construction but heavily fragmented. Maximizing
-utilitarian welfare subject to every agent keeping at least its seed utility
-yields a fractional allocation that Pareto-dominates the seed and is
-fractionally Pareto optimal: any Pareto improvement on the optimum would
-itself be feasible and have strictly larger welfare. The same LP also
-certifies it: its optimal duals on the agent rows are positive welfare
-weights under which every consumer of every item is a maximizer, so the
-pipeline needs no second LP to prove fPO.
+The improvement LP maximizes utilitarian welfare subject to every item
+being fully allocated and every agent i getting at least its weighted
+proportional share ``b_i * u_i(M)``. The proportional seed ``x_io = b_i``,
+which hands every agent its entitlement share of every item, meets those
+floors exactly, so the LP is feasible. Its optimum is fractionally Pareto
+optimal: any Pareto improvement on it would itself be feasible and have
+strictly larger welfare. The same LP also certifies it: its optimal duals
+on the agent rows are positive welfare weights under which every consumer
+of every item is a maximizer, so the pipeline needs no second LP to prove
+fPO.
 
 At most one exact simplex solve does the whole stage. Its optimal vertex
 already has a forest as consumption graph, with one strict utility sign on
 every shared item (see ``improve_to_acyclic_fpo``), and both facts are
 checked as a postcondition on the solve. The solve is skipped when every
 item has exactly one agent valuing it most and that argmax allocation
-leaves every agent strictly above its seed utility: the argmax is then the
-LP's unique optimum, read off in O(nm), with every welfare weight 1.
+leaves every agent strictly above its share: the argmax is then the LP's
+unique optimum, read off in O(nm), with every welfare weight 1.
 """
 
 from __future__ import annotations
@@ -30,21 +31,10 @@ from fairdiv.core import (
     _mixed_sign_item,
     consumption_graph,
     find_cycle,
+    proportional_share,
     utilities,
 )
 from fairdiv.lp import LpProblem, solve
-
-# The improvement LP's dense tableau has n + m rows and at most nm + 2n + m + 1
-# columns: the variables, a slack and an artificial per agent row, an
-# artificial per item row, and the right-hand side.
-MAX_TABLEAU_CELLS = 10_000_000
-
-
-def proportional_seed(instance: Instance) -> FractionalAllocation:
-    """The allocation x[i][o] = b_i: everyone consumes their entitlement of
-    every item, so utility equals the weighted proportional share exactly."""
-    rows = tuple(tuple(instance.weights[i] for _ in instance.items) for i in instance.agents)
-    return FractionalAllocation(rows)
 
 
 def dominance_welfare_lp(instance: Instance, baseline: FractionalAllocation) -> LpProblem:
@@ -55,12 +45,12 @@ def dominance_welfare_lp(instance: Instance, baseline: FractionalAllocation) -> 
 
 
 def improve_to_acyclic_fpo(instance: Instance) -> tuple:
-    """Compute a fractional allocation that Pareto-dominates the
-    proportional seed, is fractionally Pareto optimal, and whose
+    """Compute a fractional allocation that gives every agent at least its
+    proportional share, is fractionally Pareto optimal, and whose
     consumption graph is a forest.
 
-    Returns ``(allocation, weights)``. The allocation is weighted-proportional,
-    since it dominates the seed. Deterministic, because the simplex is.
+    Returns ``(allocation, weights)``. The allocation is weighted-proportional
+    by the LP's floors. Deterministic, because the simplex is.
 
     ``weights`` are welfare weights certifying fPO, read off the LP's duals.
     With shadow price pi_i <= 0 on agent i's ">=" row and p_o on item o's
@@ -88,10 +78,10 @@ def improve_to_acyclic_fpo(instance: Instance) -> tuple:
     Both facts are checked on the returned vertex; a failure raises
     InvariantViolation, since it could only come from a solver bug.
 
-    The LP is not built when ``_argmax_owners`` finds its optimum first:
+    The LP is not solved when ``_argmax_owners`` finds its optimum first:
     every item o has exactly one agent a(o) with the largest u_a(o), and the
     argmax allocation x*, giving each o to a(o), leaves every agent i
-    strictly above its seed utility b_i * u_i(M). Every feasible x has
+    strictly above its share b_i * u_i(M). Every feasible x has
     ``sum_o sum_i u_i(o) x_io <= sum_o max_i u_i(o)``, since each column
     of x sums to 1, with equality only if each o goes wholly to a(o), that
     is x = x*. As x* meets every row, it is the LP's unique optimum, so
@@ -103,18 +93,16 @@ def improve_to_acyclic_fpo(instance: Instance) -> tuple:
     is integral, so the vertex postcondition below holds on it trivially,
     and it is still checked.
 
-    Raises ValueError, before building anything, when the LP's tableau
-    would exceed MAX_TABLEAU_CELLS. The check comes before the argmax test,
-    so that what is accepted depends on n and m alone.
+    Raises ValueError when the LP's tableau would exceed
+    ``lp.MAX_TABLEAU_CELLS``. ``LpProblem`` checks it, and the problem is
+    stated before the argmax test, so that what is accepted depends on n
+    and m alone.
     """
     n, m = instance.num_agents, instance.num_items
-    cells = (n + m) * (n * m + 2 * n + m + 1)
-    if cells > MAX_TABLEAU_CELLS:
-        raise ValueError(f"a {n}x{m} instance needs {cells} LP tableau cells, "
-                         f"over the limit {MAX_TABLEAU_CELLS}")
+    problem = LpProblem(instance, [proportional_share(instance, i) for i in instance.agents])
     owners = _argmax_owners(instance)
     if owners is None:
-        solution = solve(dominance_welfare_lp(instance, proportional_seed(instance)))
+        solution = solve(problem)
         x = FractionalAllocation(tuple(solution.assignment[i * m:(i + 1) * m]
                                        for i in range(n)))
         weights = tuple(1 - pi for pi in solution.duals[:n])
@@ -130,7 +118,7 @@ def improve_to_acyclic_fpo(instance: Instance) -> tuple:
 def _argmax_owners(instance: Instance):
     """The owner of every item in the utilitarian argmax allocation, when
     each item has exactly one agent valuing it most and every agent gets
-    strictly more than its seed utility ``b_i * u_i(M)``; None otherwise.
+    strictly more than its share ``b_i * u_i(M)``; None otherwise.
 
     Reads the integer rows ``(d_i, N_i)``: ``u_i(o) > u_j(o)`` is
     ``N_i[o] * d_j > N_j[o] * d_i``, and agent i's condition is

@@ -3,13 +3,15 @@
 The one program solved is the improvement LP, stated by ``LpProblem`` as
 an instance and a floor per agent: maximize welfare with a row per agent
 (utility at least its floor), a row per item (fully allocated) and every
-variable nonnegative. Arithmetic is ``fractions.Fraction`` throughout, so
-optima are exact. Pivoting follows Bland's rule (lowest eligible index
-enters, ties in the ratio test broken by lowest basic index), which rules
-out cycling and makes the solver fully deterministic: a fixed problem
-always yields the same optimal basis, hence the same vertex. That vertex is
-an extreme point of the feasible region, which the improvement stage relies
-on: extreme points of allocation polytopes have sparse support.
+variable nonnegative. ``improve`` passes the proportional shares
+``b_i * u_i(M)`` as the floors. Arithmetic is ``fractions.Fraction``
+throughout, so optima are exact. Pivoting follows Bland's rule (lowest
+eligible index enters, ties in the ratio test broken by lowest basic
+index), which rules out cycling and makes the solver fully deterministic: a
+fixed problem always yields the same optimal basis, hence the same vertex.
+That vertex is an extreme point of the feasible region, which the
+improvement stage relies on: extreme points of allocation polytopes have
+sparse support.
 
 No ``Fraction`` work goes to a cell known to be zero. A pivot scales and
 eliminates with the pivot row's nonzero cells only, a zero cell that fills
@@ -33,8 +35,9 @@ products live for one pivot only.
 Three paths of a general simplex cannot run on that program, so each
 raises InvariantViolation:
 
-- phase 1 ending above 0 (no feasible point): the baseline allocation
-  whose utilities are the floors meets every row;
+- phase 1 ending above 0 (no feasible point): the proportional seed
+  ``x_io = b_i`` gives every agent exactly its share, so it meets every
+  row (as a baseline meets the floors its utilities give);
 - no leaving row in phase 2 (unbounded): every ``x_io`` lies in [0, 1],
   since ``sum_j x_jo = 1``;
 - after phase 1, a basic artificial whose row has no nonzero real column
@@ -54,11 +57,19 @@ class LpProblem(Record):
     for every agent i, sum_i x_io = 1 for every item o, and x >= 0, with
     ``u`` read off ``instance.integer_rows`` and x_io variable i*m + o.
     ``num_vars`` and ``constraints`` (the right-hand sides in row order:
-    the floors, then a 1 per item) give its size."""
+    the floors, then a 1 per item) give its size.
+
+    Raises ValueError when the dense tableau would exceed
+    MAX_TABLEAU_CELLS, a bound on n and m alone."""
 
     _fields = ("instance", "floors")
 
     def __init__(self, instance, floors):
+        n, m = instance.num_agents, instance.num_items
+        cells = (n + m) * (n * m + 2 * n + m + 1)
+        if cells > MAX_TABLEAU_CELLS:
+            raise ValueError(f"a {n}x{m} instance needs {cells} LP tableau cells, "
+                             f"over the limit {MAX_TABLEAU_CELLS}")
         floors = tuple(as_fraction(f) for f in floors)
         if len(floors) != instance.num_agents:
             raise ValueError("the improvement LP needs one floor per agent")
@@ -109,6 +120,12 @@ def solve(problem: LpProblem) -> LpSolution:
     # reduced cost is the row's y. Item rows have no slack: they get None.
     duals = tuple(obj[n_struct:art_start]) + (None,) * problem.instance.num_items
     return LpSolution(-obj[-1], tuple(assignment), duals)
+
+
+# The dense tableau has n + m rows and at most nm + 2n + m + 1 columns: the
+# variables, a slack and an artificial per agent row, an artificial per item
+# row, and the right-hand side.
+MAX_TABLEAU_CELLS = 10_000_000
 
 
 def _standard_form(problem: LpProblem):

@@ -821,7 +821,7 @@ def test_solve_refuses_an_lp_over_the_tableau_limit(capsys, monkeypatch, tmp_pat
     def must_not_run(*args):
         raise AssertionError("the improvement LP is built although it exceeds the limit")
 
-    monkeypatch.setattr(improve, "proportional_seed", must_not_run)
+    monkeypatch.setattr(lp, "_standard_form", must_not_run)
     inst, _ = _zero_instance_files(tmp_path, 50, 4000)
     code = main(["solve", inst])
     captured = capsys.readouterr()
@@ -847,10 +847,10 @@ def test_solve_checks_the_tableau_limit_before_the_argmax_shortcut(capsys, tmp_p
 def test_solve_tableau_limit_admits_exactly_its_cells(monkeypatch):
     # identical_items has 3 agents and 5 items: (3 + 5) * (15 + 6 + 5 + 1) cells
     argv = ["solve", "fixtures/identical_items.json"]
-    monkeypatch.setattr(improve, "MAX_TABLEAU_CELLS", 216)
+    monkeypatch.setattr(lp, "MAX_TABLEAU_CELLS", 216)
     golden = (GOLDEN / "solve-identical_items.stdout").read_text("utf-8")
     assert run_golden(argv) == (0, golden, "")
-    monkeypatch.setattr(improve, "MAX_TABLEAU_CELLS", 215)
+    monkeypatch.setattr(lp, "MAX_TABLEAU_CELLS", 215)
     error = {"error": "a 3x5 instance needs 216 LP tableau cells, over the limit 215"}
     assert run_golden(argv) == (2, "", json.dumps(error) + "\n")
 

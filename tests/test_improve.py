@@ -5,6 +5,7 @@ import os
 import random
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from fairdiv import cli, improve, lp
 from fairdiv.core import (
+    FractionalAllocation,
     Instance,
     InvariantViolation,
     consumption_graph,
@@ -20,14 +22,10 @@ from fairdiv.core import (
     proportional_share,
     utilities,
 )
-from fairdiv.improve import (
-    dominance_welfare_lp,
-    improve_to_acyclic_fpo,
-    proportional_seed,
-)
+from fairdiv.improve import improve_to_acyclic_fpo
 from fairdiv.lp import LpSolution, solve
 from fairdiv.rounding import allocate
-from fairdiv.serialize import print_instance
+from fairdiv.serialize import parse_instance, print_instance
 from helpers import (
     chores_blocks_instance,
     fraction_matrix,
@@ -37,23 +35,63 @@ from helpers import (
     vertex_enumeration_optimum,
 )
 from reference_lp import LpProblem
+from test_pivot_digests import CORPUS_LPS, corpus
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _shares(inst) -> tuple:
+    return tuple(proportional_share(inst, i) for i in inst.agents)
+
+
+def _improvement_lp(inst):
+    """The LP improve_to_acyclic_fpo states: floors at the proportional shares."""
+    return lp.LpProblem(inst, _shares(inst))
+
+
+def _seed(inst) -> FractionalAllocation:
+    """The proportional seed x_io = b_i, the improvement LP's feasible point."""
+    return FractionalAllocation(tuple((w,) * inst.num_items for w in inst.weights))
 
 
 def test_proportional_seed_gives_entitlement_everywhere():
     inst = Instance([[4, -2], [4, -2], [1, 1]], weights=[2, 1, 1])
-    seed = proportional_seed(inst)
+    seed = _seed(inst)
     assert seed.fractions[0] == (F(1, 2), F(1, 2))
     assert seed.fractions[1] == (F(1, 4), F(1, 4))
-    assert utilities(inst, seed) == tuple(proportional_share(inst, i) for i in inst.agents)
+    assert utilities(inst, seed) == _shares(inst)
+
+
+def test_the_improvement_lp_floors_are_the_proportional_shares():
+    # every LP improve solves, on the instance fixtures and the 2x3 corpus of
+    # the pivot digests, holds each agent to b_i * u_i(M), which the seed
+    # attains exactly
+    instances = [parse_instance(json.loads(path.read_text("utf-8")))[0]
+                 for path in sorted(FIXTURES.glob("*.json"))
+                 if "utilities" in json.loads(path.read_text("utf-8"))]
+    assert len(instances) == 3
+    instances += [inst for _, inst in corpus()]
+    problems, solve_lp = [], improve.solve
+
+    def recorded(problem):
+        problems.append(problem)
+        return solve_lp(problem)
+
+    with mock.patch.object(improve, "solve", recorded):
+        for inst in instances:
+            improve_to_acyclic_fpo(inst)
+    assert len(problems) == CORPUS_LPS + 3
+    for problem in problems:
+        inst = problem.instance
+        assert problem.floors == _shares(inst) == utilities(inst, _seed(inst))
 
 
 def test_welfare_lp_single_item_two_agents():
     # one item worth 1 to agent 0 and -1 to agent 1; vertices of the
     # feasible region are (1/2, 1/2) and (1, 0), so the optimum is 1
     inst = Instance([[1], [-1]])
-    problem = dominance_welfare_lp(inst, proportional_seed(inst))
+    problem = _improvement_lp(inst)
     assert len(problem.constraints) == 3
     sol = solve(problem)
     assert sol.value == 1
@@ -114,7 +152,7 @@ def test_goods_blocks_welfare_optimum_is_67_50():
     blocks = [(0,), tuple(range(1, 11)), tuple(range(11, 31))]
     oracle_value, _ = vertex_enumeration_optimum(_aggregated_blocks_lp(inst, blocks))
     assert oracle_value == F(67, 50)
-    sol = solve(dominance_welfare_lp(inst, proportional_seed(inst)))
+    sol = solve(_improvement_lp(inst))
     assert sol.value == F(67, 50)
 
 
@@ -123,7 +161,7 @@ def test_chores_blocks_welfare_optimum_is_minus_half():
     blocks = [tuple(range(10)), (10,), (11,)]
     oracle_value, _ = vertex_enumeration_optimum(_aggregated_blocks_lp(inst, blocks))
     assert oracle_value == F(-1, 2)
-    sol = solve(dominance_welfare_lp(inst, proportional_seed(inst)))
+    sol = solve(_improvement_lp(inst))
     assert sol.value == F(-1, 2)
 
 
@@ -133,7 +171,7 @@ def test_improve_reaches_the_welfare_optimum_acyclically(make):
     x, _ = improve_to_acyclic_fpo(inst)
     assert find_cycle(consumption_graph(x)) is None
     welfare = sum(utilities(inst, x), F(0))
-    assert welfare == solve(dominance_welfare_lp(inst, proportional_seed(inst))).value
+    assert welfare == solve(_improvement_lp(inst)).value
     for i, value in enumerate(utilities(inst, x)):
         assert value >= proportional_share(inst, i)
 
@@ -144,15 +182,14 @@ def test_improve_postconditions_on_random_instances():
         n, m = rng.randint(1, 4), rng.randint(0, 6)
         mode = rng.choice(["equal", "random"])
         inst = rand_instance(rng, n, m, weight_mode=mode)
-        seed = proportional_seed(inst)
         x, weights = improve_to_acyclic_fpo(inst)
         graph = consumption_graph(x)
         assert find_cycle(graph) is None
-        for i, (value, before) in enumerate(zip(utilities(inst, x), utilities(inst, seed))):
+        for i, (value, before) in enumerate(zip(utilities(inst, x), utilities(inst, _seed(inst)))):
             assert value >= before
             assert value >= proportional_share(inst, i)
         welfare = sum(utilities(inst, x), F(0))
-        assert welfare == solve(dominance_welfare_lp(inst, seed)).value
+        assert welfare == solve(_improvement_lp(inst)).value
         u = fraction_matrix(inst)
         for o in graph.shared_items():
             signs = {(u[i][o] > 0) - (u[i][o] < 0)
@@ -167,7 +204,7 @@ def test_improve_postconditions_on_random_instances():
 
 
 def test_tableau_cell_formula_bounds_the_solvers_tableau():
-    # improve.MAX_TABLEAU_CELLS is checked against (n+m)(nm+2n+m+1) before
+    # lp.MAX_TABLEAU_CELLS is checked against (n+m)(nm+2n+m+1) before
     # anything is built. The tableau lp._standard_form builds has n + m rows
     # and nm + n + a + 1 columns, a the number of artificials: one per item
     # row and one per agent row with a positive floor. So the formula is an
@@ -185,10 +222,10 @@ def test_tableau_cell_formula_bounds_the_solvers_tableau():
             rows.append(row)
         weights = [rng.randint(1, 4) for _ in range(n)] if trial % 3 else None
         inst = Instance(rows, weights)
-        tab = lp._standard_form(dominance_welfare_lp(inst, proportional_seed(inst)))[0]
+        tab = lp._standard_form(_improvement_lp(inst))[0]
         cells = len(tab) * len(tab[0])
         formula = (n + m) * (n * m + 2 * n + m + 1)
-        positive = all(floor > 0 for floor in utilities(inst, proportional_seed(inst)))
+        positive = all(floor > 0 for floor in _shares(inst))
         assert cells <= formula
         assert (cells == formula) == positive, (rows, weights)
         tight += positive

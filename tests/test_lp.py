@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairdiv.lp
-from fairdiv.core import Instance, InvariantViolation
-from fairdiv.improve import dominance_welfare_lp, proportional_seed
+from fairdiv.core import Instance, InvariantViolation, proportional_share
+from fairdiv.improve import dominance_welfare_lp
 from helpers import (
     CHORES_BLOCKS_X,
     CHORES_BLOCKS_Y,
@@ -226,8 +226,11 @@ TESTS = Path(__file__).resolve().parent
 
 
 def _improvement_lp(instance, baseline=None):
+    """The LP improve states (floors at the proportional shares), or the
+    one with floors at a baseline's utilities."""
     if baseline is None:
-        baseline = proportional_seed(instance)
+        shares = [proportional_share(instance, i) for i in instance.agents]
+        return fairdiv.lp.LpProblem(instance, shares)
     return dominance_welfare_lp(instance, baseline)
 
 
