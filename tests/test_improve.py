@@ -67,9 +67,8 @@ def test_the_improvement_lp_floors_are_the_proportional_shares():
     # every LP improve solves, on the instance fixtures and the 2x3 corpus of
     # the pivot digests, holds each agent to b_i * u_i(M), which the seed
     # attains exactly
-    instances = [parse_instance(json.loads(path.read_text("utf-8")))[0]
-                 for path in sorted(FIXTURES.glob("*.json"))
-                 if "utilities" in json.loads(path.read_text("utf-8"))]
+    docs = [json.loads(path.read_text("utf-8")) for path in sorted(FIXTURES.glob("*.json"))]
+    instances = [parse_instance(doc)[0] for doc in docs if "utilities" in doc]
     assert len(instances) == 3
     instances += [inst for _, inst in corpus()]
     problems, solve_lp = [], improve.solve
