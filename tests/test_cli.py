@@ -37,8 +37,9 @@ from helpers import (
     oracle_weighted_prop,
     oracle_weighted_prop1,
 )
-from test_golden import GOLDEN, recorded
-from test_golden import run as run_golden
+from pins import GOLDEN
+from pins import run as run_golden
+from test_golden import recorded
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -951,6 +952,28 @@ def test_workflow_runs_no_inline_scripts():
     # A plain-text scan, since CI installs no YAML parser.
     workflow = FIXTURES.parent / ".github" / "workflows" / "tier1.yml"
     assert "<<" not in workflow.read_text("utf-8")
+
+
+def test_the_pin_check_imports_no_pytest():
+    # CI runs tests/pins.py as a script, and it must run where only the
+    # package is installed: a meta path finder makes importing pytest
+    # raise, and records each attempt, caught or not
+    code = ("import sys\n"
+            "tried = []\n"
+            "class NoPytest:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] in ('pytest', '_pytest'):\n"
+            "            tried.append(name)\n"
+            "            raise ImportError(name)\n"
+            "sys.meta_path.insert(0, NoPytest())\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import pins\n"
+            "print([suite.__name__ for suite in pins.suites()], tried)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+                          capture_output=True, text=True, cwd=FIXTURES.parent, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("['test_golden', 'test_solve_digests', 'test_pivot_digests', "
+                           "'test_corpus_digests'] []\n")
 
 
 def test_a_failing_hypothesis_test_reports_its_example(tmp_path):

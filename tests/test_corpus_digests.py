@@ -6,42 +6,31 @@ The corpus of a shape n x m is every n x m matrix with entries in
 {-1, 0, 1}, in ``itertools.product`` order, first under equal weights and
 then under weights (1, 2, ..., n): 2 * 3**(nm) documents. Ties, zeros and
 degenerate vertices concentrate there, so Bland's tie-breaks decide many of
-its outputs, where the drawn documents of ``test_solve_digests`` barely
-meet them. ``tests/golden/corpus_digests.json`` holds, per shape, one
-sha256 per block of ``BLOCK`` consecutive documents, over their ``solve``
-stdouts in order. The digests see only outputs, so a kernel that reaches
-the same vertex and duals passes them whatever its data structure.
+its outputs, where the drawn documents of ``test_solve_digests`` barely meet
+them. ``tests/golden/corpus_digests.json`` holds, per shape, one sha256 per
+block of ``BLOCK`` consecutive ``solve`` stdouts, so a kernel that reaches
+the same vertex and duals passes whatever its data structure.
 
-Tier-1 checks 2x3 in full, and checks on each of its instances that the
-allocation is weighted PROP1, is integrally Pareto optimal (by brute force
-over all n**m allocations) and that its welfare weights certify fPO, with
-the independent oracles of ``helpers``. A failure names each block that
-moved by its first document. The full check of 2x3, 2x4 and 3x3 (about a
-minute on 2 vCPUs), and recording the digests of the program on the path
-(only when an output is meant to change):
-
-    PYTHONPATH=src python tests/test_corpus_digests.py [--record]
+Tier-1 checks 2x3, naming each block that moved by its first document, and
+on each allocation weighted PROP1, integral PO by brute force, fPO by the
+reference LP and the welfare weights, with the oracles of ``helpers``.
+``tests/pins.py`` checks and records all three shapes.
 """
 
-import contextlib
 import functools
-import hashlib
-import io
 import itertools
 import json
-import sys
 import tempfile
 from fractions import Fraction
-from pathlib import Path
 
-from fairdiv.cli import main
 from fairdiv.core import IntegralAllocation
 from fairdiv.serialize import parse_instance
-from helpers import oracle_is_pareto_optimal, oracle_weighted_prop1, oracle_weights_certify
+from helpers import lp_pareto_improvement_exists, oracle_is_pareto_optimal
+from helpers import oracle_weighted_prop1, oracle_weights_certify
+from pins import moved, read, sha256, solve_stdout, write
 
-DIGESTS = Path(__file__).resolve().parent / "golden" / "corpus_digests.json"
-SHAPES = ((2, 3), (2, 4), (3, 3))
-TIER1_SHAPE = (2, 3)
+DIGESTS = "corpus_digests.json"
+SHAPES = {"2x3": (2, 3), "2x4": (2, 4), "3x3": (3, 3)}
 BLOCK = 500
 
 
@@ -59,59 +48,30 @@ def documents(n: int, m: int) -> list:
     return out
 
 
-def solve_stdouts(docs) -> list:
-    """``fairdiv solve`` stdout on each document; each must exit 0, silently
-    on stderr."""
-    outs = []
-    with tempfile.TemporaryDirectory() as workdir:
-        path = Path(workdir) / "instance.json"
-        for _, doc in docs:
-            path.write_text(json.dumps(doc), "utf-8")
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["solve", str(path)])
-            if (code, err.getvalue()) != (0, ""):
-                raise AssertionError(f"solve exited {code}: {err.getvalue()}")
-            outs.append(out.getvalue())
-    return outs
-
-
-def block_digests(outs) -> list:
-    return [hashlib.sha256("".join(outs[k:k + BLOCK]).encode("utf-8")).hexdigest()
-            for k in range(0, len(outs), BLOCK)]
-
-
-def _key(shape) -> str:
-    return "{}x{}".format(*shape)
-
-
 @functools.lru_cache(maxsize=None)
-def corpus(shape) -> tuple:
+def corpus(shape: str) -> tuple:
     """The shape's documents and their stdouts."""
-    docs = documents(*shape)
-    return docs, solve_stdouts(docs)
+    docs = documents(*SHAPES[shape])
+    with tempfile.TemporaryDirectory() as workdir:
+        return docs, [solve_stdout(doc, workdir) for _, doc in docs]
 
 
-def recorded() -> dict:
-    return json.loads(DIGESTS.read_text("utf-8"))
-
-
-def moved_blocks(docs, digests, want) -> list:
-    """The first document's name of each block whose digest differs."""
-    return [docs[k * BLOCK][0] if k * BLOCK < len(docs) else f"block {k}"
-            for k, (got, expected) in enumerate(itertools.zip_longest(digests, want))
-            if got != expected]
+def blocks(shape: str) -> tuple:
+    """The first document's name and the digest of each block of the
+    shape's stdouts."""
+    docs, outs = corpus(shape)
+    return ([docs[k][0] for k in range(0, len(docs), BLOCK)],
+            [sha256("".join(outs[k:k + BLOCK])) for k in range(0, len(outs), BLOCK)])
 
 
 def test_corpus_outputs_match_their_digests():
-    docs, outs = corpus(TIER1_SHAPE)
-    assert len(docs) == 2 * 3 ** 6
-    moved = moved_blocks(docs, block_digests(outs), recorded()[_key(TIER1_SHAPE)])
-    assert not moved, f"{len(moved)} blocks of solve outputs moved, from {moved}"
+    assert len(corpus("2x3")[0]) == 2 * 3 ** 6
+    changed = moved(*blocks("2x3"), read(DIGESTS)["2x3"])
+    assert not changed, f"{len(changed)} blocks of solve outputs moved, from {changed}"
 
 
 def test_corpus_allocations_are_weighted_prop1_and_pareto_optimal():
-    docs, outs = corpus(TIER1_SHAPE)
+    docs, outs = corpus("2x3")
     for (name, doc), out in zip(docs, outs):
         instance, agent_ids, item_ids = parse_instance(doc)
         result = json.loads(out)
@@ -121,30 +81,19 @@ def test_corpus_allocations_are_weighted_prop1_and_pareto_optimal():
         assert oracle_weighted_prop1(instance, allocation).holds, name
         assert oracle_is_pareto_optimal(instance, allocation), name
         assert oracle_weights_certify(instance, allocation, weights), name
+        assert not lp_pareto_improvement_exists(instance, allocation), name
 
 
-def check_all(record: bool) -> int:
-    """Recompute every shape's digests; record them, or report each block
-    that differs from the file and return 1 if any does."""
-    digests, moved = {}, 0
-    want = {} if record else recorded()
+def check(record: bool) -> list:
+    """Recompute every shape's digests; record them, or return, per block
+    that differs from the file, its first document's name."""
+    got = {}
     for shape in SHAPES:
-        docs, outs = corpus(shape)
-        digests[_key(shape)] = block_digests(outs)
-        if not record:
-            for name in moved_blocks(docs, digests[_key(shape)], want.get(_key(shape), [])):
-                print(f"{_key(shape)} block differs, from {name}")
-                moved += 1
+        got[shape] = blocks(shape)
         corpus.cache_clear()
     if record:
-        DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", "utf-8")
-        return 0
-    print(f"{sum(map(len, digests.values()))} blocks of {BLOCK} solve outputs over "
-          f"{', '.join(digests)}, {moved} differ from {DIGESTS.name}")
-    return 1 if moved else 0
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--record"]):
-        sys.exit(__doc__)
-    sys.exit(check_all(sys.argv[1:] == ["--record"]))
+        write(DIGESTS, {key: digests for key, (_, digests) in got.items()})
+        return []
+    want = read(DIGESTS)
+    return [name for key, (names, digests) in got.items()
+            for name in moved(names, digests, want.get(key, []))]

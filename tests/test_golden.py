@@ -3,24 +3,13 @@ byte for byte.
 
 ``tests/golden/cases.json`` lists each command line with its exit code and
 stderr; ``tests/golden/<name>.stdout`` holds its stdout. A change that is
-meant to keep the output identical must pass this unchanged. To record the
-goldens of the program on the path (only when an output is meant to change):
-
-    PYTHONPATH=src python tests/test_golden.py --record
+meant to keep the output identical must pass this unchanged.
+``tests/pins.py`` checks these with the other pinned outputs, and its
+``--record`` rewrites them.
 """
 
-import contextlib
-import io
-import json
-import sys
-from pathlib import Path
+from pins import GOLDEN, ROOT, moved, parametrize, read, run, write
 
-import pytest
-
-from fairdiv.cli import main
-
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "golden"
 ALL_PROPERTIES = "prop,prop1,propx,po,fpo"
 # po exceeds its enumeration cap on the 31-item goods fixture, so those
 # allocations are also checked without it
@@ -45,24 +34,14 @@ def cases() -> list:
     return out
 
 
-def run(argv) -> tuple:
-    """(exit code, stdout, stderr) of one CLI call, paths taken from the root."""
-    argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def recorded() -> dict:
-    return {c["name"]: c for c in json.loads((GOLDEN / "cases.json").read_text("utf-8"))}
+    return {c["name"]: c for c in read("cases.json")}
 
 
 def test_golden_cases_cover_every_fixture():
     assert sorted(recorded()) == sorted(name for name, _ in cases())
 
 
-@pytest.mark.parametrize("name,argv", cases(), ids=[name for name, _ in cases()])
 def test_output_matches_golden(name, argv):
     golden = recorded()[name]
     assert golden["argv"] == argv
@@ -72,17 +51,19 @@ def test_output_matches_golden(name, argv):
     assert stdout == (GOLDEN / f"{name}.stdout").read_text("utf-8")
 
 
-def record() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    manifest = []
-    for name, argv in cases():
-        code, stdout, stderr = run(argv)
-        (GOLDEN / f"{name}.stdout").write_text(stdout, "utf-8")
-        manifest.append({"name": name, "argv": argv, "exit": code, "stderr": stderr})
-    (GOLDEN / "cases.json").write_text(json.dumps(manifest, indent=2) + "\n", "utf-8")
+pytest_generate_tests = parametrize(test_output_matches_golden, "name,argv", cases())
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit(__doc__)
-    record()
+def check(record: bool) -> list:
+    """Run every case; record the goldens, or return the names of the cases
+    whose argv, exit code, stdout or stderr differs from them."""
+    got = [(name, argv, *run(argv)) for name, argv in cases()]
+    if record:
+        for name, _, _, stdout, _ in got:
+            (GOLDEN / f"{name}.stdout").write_text(stdout, "utf-8")
+        write("cases.json", [{"name": name, "argv": argv, "exit": code, "stderr": stderr}
+                             for name, argv, code, _, stderr in got], indent=2)
+        return []
+    want = [(name, c["argv"], c["exit"], (GOLDEN / f"{name}.stdout").read_text("utf-8"),
+             c["stderr"]) for name, c in recorded().items()]
+    return moved([name for name, *_ in got], got, want)

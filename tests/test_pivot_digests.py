@@ -1,56 +1,43 @@
 """Bland's pivot path, pinned: every (leaving, entering) pair of every LP
 that ``fairdiv solve`` runs.
 
-The solve digests see only each output, so a change that reaches the same
-vertex and duals by another pivot path passes them. This file pins the path
-itself. Wrapping ``fairdiv.lp._pivot`` records, per pivot, the basic
-variable that leaves and the column that enters, in the tableau's column
-numbering, the pivots that drive artificials out of the basis included;
-wrapping ``improve.solve`` starts the record of a new LP.
-``tests/golden/pivot_digests.json`` holds:
+The output pins pass a change that reaches the same vertex and duals by
+another path; this file pins the path itself, and only it wraps the kernel,
+so the output pins stay kernel-independent. Wrapping ``fairdiv.lp._pivot``
+records, per pivot, the basic variable that leaves and the column that
+enters, in the tableau's column numbering, drive-out pivots included;
+wrapping ``improve.solve`` starts a new LP.
+``tests/golden/pivot_digests.json`` holds the sha256 of the paths of each
+document of ``test_solve_digests``, and a 16-digit sha256 prefix of the
+paths that ``improve_to_acyclic_fpo`` takes on each instance of the 2x3
+corpus of ``test_corpus_digests``.
 
-- per document of ``test_solve_digests``, the sha256 of the pivot paths of
-  the LPs that ``solve`` runs on it;
-- per instance of the corpus, every 2x3 instance with entries in
-  {-1, 0, 1} under equal weights and under weights (1, 2), a 16-digit
-  sha256 prefix of the paths of the LPs that ``improve_to_acyclic_fpo``
-  runs on it.
-
-Tier-1 checks the whole corpus and every ``SUBSET_STEP``-th document; a
-failure names the first instance whose path moved. The full check, and
-recording the paths of the program on the path (only when a path is meant
-to change):
-
-    PYTHONPATH=src python tests/test_pivot_digests.py [--record]
+Tier-1 checks the corpus, where the instances that reach no LP must be
+exactly the argmax hits of ``helpers.oracle_argmax_is_lp_optimum``, and
+every fifth document; ``tests/pins.py`` checks and records all paths.
 """
 
 import contextlib
-import hashlib
-import itertools
+import functools
 import json
-import sys
 import tempfile
-from pathlib import Path
 from unittest import mock
 
 from fairdiv import improve, lp
-from fairdiv.core import Instance
-from test_solve_digests import SUBSET_STEP, documents, solve_stdout
+from fairdiv.serialize import parse_instance
+from helpers import oracle_argmax_is_lp_optimum
+from pins import moved, parametrize, read, sha256, solve_stdout, write
+from test_corpus_digests import documents as corpus_documents
+from test_solve_digests import SUBSET, documents
 
-DIGESTS = Path(__file__).resolve().parent / "golden" / "pivot_digests.json"
-CORPUS_WEIGHTS = (None, (1, 2))
+DIGESTS = "pivot_digests.json"
 # corpus instances whose argmax is not the LP's unique optimum
 CORPUS_LPS = 1058
 
 
 def corpus() -> list:
-    """(name, instance) pairs in enumeration order."""
-    out = []
-    for weights in CORPUS_WEIGHTS:
-        for values in itertools.product((-1, 0, 1), repeat=6):
-            rows = (values[:3], values[3:])
-            out.append((f"rows {rows} weights {weights or 'equal'}", Instance(rows, weights)))
-    return out
+    """(name, instance) pairs of the 2x3 corpus, in enumeration order."""
+    return [(name, parse_instance(doc)[0]) for name, doc in corpus_documents(2, 3)]
 
 
 @contextlib.contextmanager
@@ -73,81 +60,61 @@ def recording():
         yield lps
 
 
-def _sha256(lps) -> str:
-    return hashlib.sha256(json.dumps(lps, separators=(",", ":")).encode("utf-8")).hexdigest()
+def _paths_sha256(lps) -> str:
+    return sha256(json.dumps(lps, separators=(",", ":")))
 
 
 def document_digest(doc, workdir) -> str:
     with recording() as lps:
         solve_stdout(doc, workdir)
-    return _sha256(lps)
+    return _paths_sha256(lps)
 
 
+@functools.lru_cache(maxsize=None)
 def corpus_digests() -> tuple:
-    """The corpus's names, its digests, and how many LPs it solved."""
-    names, digests, solved = [], [], 0
+    """The corpus's names, its digests, and how many LPs each instance
+    solved."""
+    names, digests, solved = [], [], []
     for name, instance in corpus():
         with recording() as lps:
             improve.improve_to_acyclic_fpo(instance)
         names.append(name)
-        digests.append(_sha256(lps)[:16])
-        solved += len(lps)
+        digests.append(_paths_sha256(lps)[:16])
+        solved.append(len(lps))
     return names, digests, solved
-
-
-def recorded() -> dict:
-    return json.loads(DIGESTS.read_text("utf-8"))
-
-
-def _moved(names, digests, want) -> list:
-    """The names whose digest differs from ``want``, in order."""
-    return [name for name, got, expected in itertools.zip_longest(names, digests, want)
-            if got != expected]
 
 
 def test_corpus_pivot_paths_match_their_digests():
     names, digests, solved = corpus_digests()
-    assert (len(names), solved) == (1458, CORPUS_LPS)
-    moved = _moved(names, digests, recorded()["corpus"])
-    assert not moved, f"{len(moved)} pivot paths moved, the first on {moved[0]}"
+    assert (len(names), sum(solved)) == (1458, CORPUS_LPS)
+    changed = moved(names, digests, read(DIGESTS)["corpus"])
+    assert not changed, f"{len(changed)} pivot paths moved, the first on {changed[0]}"
 
 
-SUBSET = documents()[::SUBSET_STEP]
-
-
-def pytest_generate_tests(metafunc):
-    # pytest reads this hook off the module, so the script run below
-    # imports no pytest
-    if metafunc.function is test_document_pivot_paths_match_their_digest:
-        metafunc.parametrize("name,doc", SUBSET, ids=[name for name, _ in SUBSET])
+def test_corpus_runs_no_lp_exactly_on_the_argmax_hits():
+    names, _, solved = corpus_digests()
+    no_lp = [name for name, count in zip(names, solved) if not count]
+    assert len(no_lp) == 400
+    assert no_lp == [name for name, inst in corpus() if oracle_argmax_is_lp_optimum(inst)]
 
 
 def test_document_pivot_paths_match_their_digest(name, doc, tmp_path):
-    assert document_digest(doc, tmp_path) == recorded()["documents"][name]
+    assert document_digest(doc, tmp_path) == read(DIGESTS)["documents"][name]
 
 
-def check_all(record: bool) -> int:
-    """Recompute every digest; record them, or report each instance whose
-    path differs from the file and return 1 if any does."""
+pytest_generate_tests = parametrize(test_document_pivot_paths_match_their_digest,
+                                    "name,doc", SUBSET)
+
+
+def check(record: bool) -> list:
+    """Recompute every digest; record them, or return the names of the
+    documents and corpus instances whose paths differ from the file."""
     with tempfile.TemporaryDirectory() as workdir:
         docs = {name: document_digest(doc, workdir) for name, doc in documents()}
     names, digests, _ = corpus_digests()
     if record:
-        DIGESTS.write_text(json.dumps({"documents": docs, "corpus": digests}, indent=1) + "\n",
-                           "utf-8")
-        return 0
-    want = recorded()
-    moved = sorted(name for name in docs.keys() | want["documents"].keys()
-                   if docs.get(name) != want["documents"].get(name))
-    moved += _moved(names, digests, want["corpus"])
-    for name in moved:
-        print(f"pivot path differs: {name}")
-    print(f"{len(docs)} documents and {len(names)} corpus instances, "
-          f"{len(moved)} pivot paths differ from {DIGESTS.name}")
-    return 1 if moved else 0
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--record"]):
-        sys.exit(__doc__)
-    sys.exit(check_all(sys.argv[1:] == ["--record"]))
+        write(DIGESTS, {"documents": docs, "corpus": digests})
+        return []
+    want = read(DIGESTS)
+    return (moved(list(docs), list(docs.items()), list(want["documents"].items()))
+            + moved(names, digests, want["corpus"]))

@@ -7,27 +7,19 @@ argmax hits. ``tests/golden/solve_digests.json`` holds, per document, the
 sha256 of the document and of ``solve``'s stdout. A change meant to keep
 every output identical must pass unchanged; a changed digest is a changed
 output. Tier-1 checks every document digest and recomputes the stdout
-digests of every ``SUBSET_STEP``-th document. The full check, and recording
-the digests of the program on the path (only when an output is meant to
-change):
-
-    PYTHONPATH=src python tests/test_solve_digests.py [--record]
+digests of every ``SUBSET_STEP``-th document; ``tests/pins.py`` recomputes
+all of them, and its ``--record`` rewrites them.
 """
 
-import contextlib
-import hashlib
-import io
 import json
 import random
-import sys
 import tempfile
-from pathlib import Path
 
-from fairdiv.cli import main
 from fairdiv.serialize import parse_instance
 from helpers import fraction_matrix, oracle_argmax_is_lp_optimum
+from pins import moved, parametrize, read, sha256, solve_stdout, write
 
-DIGESTS = Path(__file__).resolve().parent / "golden" / "solve_digests.json"
+DIGESTS = "solve_digests.json"
 KINDS = ("ties", "wide", "ratio", "signs", "scaled", "hits")
 WEIGHTS = ("equal", "integer", "ratio")
 # (count, agents, items): many small instances, fewer up to the largest
@@ -85,34 +77,13 @@ def documents() -> list:
     return out
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def document_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def solve_stdout(doc, workdir) -> str:
-    """``fairdiv solve`` stdout on the document; it must exit 0, silently
-    on stderr."""
-    path = Path(workdir) / "instance.json"
-    path.write_text(document_text(doc), "utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["solve", str(path)])
-    if (code, err.getvalue()) != (0, ""):
-        raise AssertionError(f"solve exited {code}: {err.getvalue()}")
-    return out.getvalue()
-
-
-def recorded() -> dict:
-    return json.loads(DIGESTS.read_text("utf-8"))
-
-
 def test_documents_are_the_recorded_ones():
-    assert {name: _sha256(document_text(doc)) for name, doc in documents()} == {
-        name: entry["instance"] for name, entry in recorded().items()}
+    assert {name: sha256(document_text(doc)) for name, doc in documents()} == {
+        name: entry["instance"] for name, entry in read(DIGESTS).items()}
 
 
 def test_documents_hold_each_case_the_digests_pin():
@@ -144,38 +115,20 @@ def test_documents_hold_each_case_the_digests_pin():
 SUBSET = documents()[::SUBSET_STEP]
 
 
-def pytest_generate_tests(metafunc):
-    # pytest reads this hook off the module, so the script run below
-    # imports no pytest
-    if metafunc.function is test_solve_stdout_matches_its_digest:
-        metafunc.parametrize("name,doc", SUBSET, ids=[name for name, _ in SUBSET])
-
-
 def test_solve_stdout_matches_its_digest(name, doc, tmp_path):
-    assert _sha256(solve_stdout(doc, tmp_path)) == recorded()[name]["stdout"]
+    assert sha256(solve_stdout(doc, tmp_path)) == read(DIGESTS)[name]["stdout"]
 
 
-def check_all(record: bool) -> int:
-    """Recompute every stdout digest; record them, or report each one
-    that differs from the file and return 1 if any does."""
-    digests = {}
+pytest_generate_tests = parametrize(test_solve_stdout_matches_its_digest, "name,doc", SUBSET)
+
+
+def check(record: bool) -> list:
+    """Recompute every digest; record them, or return the names of the
+    documents whose digests differ from the file."""
     with tempfile.TemporaryDirectory() as workdir:
-        for name, doc in documents():
-            digests[name] = {"instance": _sha256(document_text(doc)),
-                             "stdout": _sha256(solve_stdout(doc, workdir))}
+        got = {name: {"instance": sha256(document_text(doc)),
+                      "stdout": sha256(solve_stdout(doc, workdir))} for name, doc in documents()}
     if record:
-        DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", "utf-8")
-        return 0
-    want = recorded()
-    moved = sorted(name for name in digests.keys() | want.keys()
-                   if digests.get(name) != want.get(name))
-    for name in moved:
-        print(f"digest differs: {name}")
-    print(f"{len(digests)} solve outputs, {len(moved)} differ from {DIGESTS.name}")
-    return 1 if moved else 0
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--record"]):
-        sys.exit(__doc__)
-    sys.exit(check_all(sys.argv[1:] == ["--record"]))
+        write(DIGESTS, got)
+        return []
+    return moved(list(got), list(got.items()), list(read(DIGESTS).items()))
