@@ -46,7 +46,6 @@ from fairdiv.core import (
 from fairdiv.improve import improve_to_acyclic_fpo
 # Only bench/spans.py reads the two fPO names re-exported here: it wraps them.
 from fairdiv.verify import (  # noqa: F401
-    PropertyReport,
     find_welfare_weights,
     pareto_improvement_exists,
     recheck_welfare_weights,

@@ -10,17 +10,24 @@ library's simplex, and their section comment says why that is sound.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import json
 import random
+import sys
 from collections import defaultdict, deque
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
+import fairdiv.lp
 from fairdiv.core import (
     ConsumptionGraph,
     FractionalAllocation,
     Instance,
     IntegralAllocation,
+    proportional_share,
     utilities,
 )
 from fairdiv.verify import ADD_ITEM, MEETS_BOUND, REMOVE_ITEM, AgentWitness, PropertyReport
@@ -51,42 +58,54 @@ def fraction_matrix(instance: Instance) -> tuple:
 # goods_blocks: one big good A plus two blocks of identical small goods; the
 # utilitarian optimum conflicts with proportionality, so it separates PROP1
 # from plain welfare maximization. chores_blocks is its mirror with chores.
-# identical_items admits no PROPX allocation at all.
+# identical_items admits no PROPX allocation at all. Each is read from its
+# file under fixtures/ with json and Fraction alone, never with the
+# library's reader, which test_cli checks against these.
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fixture(name: str) -> dict:
+    return json.loads((FIXTURES / f"{name}.json").read_text("utf-8"))
+
+
+def _canonical(name: str, *suffixes: str) -> tuple:
+    """(instance, {suffix: allocation}): ``fixtures/<name>.json``, its
+    utilities and weights read as ``Fraction``s, and each
+    ``fixtures/<name>_<suffix>.json``, owners in the instance's item order."""
+    doc = _fixture(name)
+    instance = Instance([[Fraction(v) for v in row] for row in doc["utilities"]],
+                        [Fraction(agent["weight"]) for agent in doc["agents"]])
+    agents = [agent["id"] for agent in doc["agents"]]
+    allocations = {}
+    for suffix in suffixes:
+        owner = _fixture(f"{name}_{suffix}")["owner"]
+        allocations[suffix] = IntegralAllocation(
+            len(agents), tuple(agents.index(owner[o]) for o in doc["items"]))
+    return instance, allocations
+
+
+# each canonical instance by its fixture name, with its allocations by suffix
+CANONICAL = {
+    "goods_blocks": _canonical("goods_blocks", "x", "y"),
+    "chores_blocks": _canonical("chores_blocks", "x", "y"),
+    "identical_items": _canonical("identical_items", "balanced"),
+}
+GOODS_BLOCKS_X, GOODS_BLOCKS_Y = CANONICAL["goods_blocks"][1].values()
+CHORES_BLOCKS_X, CHORES_BLOCKS_Y = CANONICAL["chores_blocks"][1].values()
+(IDENTICAL_ITEMS_BALANCED,) = CANONICAL["identical_items"][1].values()
 
 
 def goods_blocks_instance() -> Instance:
-    rows = (
-        (F(3, 10),) + (F(1, 50),) * 10 + (F(1, 40),) * 20,
-        (F(17, 50),) + (F(2, 125),) * 10 + (F(1, 40),) * 20,
-        (F(4, 25),) + (F(1, 20),) * 10 + (F(17, 1000),) * 20,
-    )
-    return Instance(rows)
-
-
-# owners over item order (A, b1..b10, c1..c20)
-GOODS_BLOCKS_X = IntegralAllocation(3, (1,) + (0,) * 10 + (2,) * 20)
-GOODS_BLOCKS_Y = IntegralAllocation(3, (0,) + (2,) * 10 + (1,) * 20)
+    return CANONICAL["goods_blocks"][0]
 
 
 def chores_blocks_instance() -> Instance:
-    rows = (
-        (F(-1, 25),) * 10 + (F(-1, 2), F(-1, 10)),
-        (F(-3, 100),) * 10 + (F(-3, 5), F(-1, 10)),
-        (F(-3, 50),) * 10 + (F(-1, 10), F(-3, 10)),
-    )
-    return Instance(rows)
-
-
-# owners over item order (a1..a10, B, C)
-CHORES_BLOCKS_X = IntegralAllocation(3, (1,) * 10 + (0, 2))
-CHORES_BLOCKS_Y = IntegralAllocation(3, (0,) * 10 + (2, 1))
+    return CANONICAL["chores_blocks"][0]
 
 
 def identical_items_instance() -> Instance:
-    return Instance(((3, 3, 3, 3, 1),) * 3)
-
-
-IDENTICAL_ITEMS_BALANCED = IntegralAllocation(3, (0, 0, 2, 1, 1))
+    return CANONICAL["identical_items"][0]
 
 
 def forest_fixture():
@@ -210,6 +229,31 @@ def rand_lp(rng: random.Random):
         cons.append((coeffs, rel, rhs))
     objective = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
     return LpProblem(k, tuple(objective), tuple(cons))
+
+
+def improvement_lp(instance: Instance) -> fairdiv.lp.LpProblem:
+    """The library's statement of the LP ``improve_to_acyclic_fpo`` solves:
+    agent i's floor is its proportional share ``b_i * u_i(M)``."""
+    return fairdiv.lp.LpProblem(instance, [proportional_share(instance, i)
+                                           for i in instance.agents])
+
+
+@contextlib.contextmanager
+def lp_calls():
+    """Yield a list that gets every problem ``fairdiv.lp.solve`` is asked to
+    solve meanwhile. Each ``fairdiv`` module that imported the solver holds
+    its own reference, so each one's is swapped."""
+    solve_lp, problems = fairdiv.lp.solve, []
+
+    def recorded(problem):
+        problems.append(problem)
+        return solve_lp(problem)
+
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fairdiv") and getattr(module, "solve", None) is solve_lp:
+                stack.enter_context(mock.patch.object(module, "solve", recorded))
+        yield problems
 
 
 def general_welfare_lp(instance: Instance, floors) -> LpProblem:

@@ -23,15 +23,9 @@ from fairdiv.serialize import (
     report_doc,
 )
 from helpers import (
-    CHORES_BLOCKS_X,
-    CHORES_BLOCKS_Y,
-    GOODS_BLOCKS_X,
-    GOODS_BLOCKS_Y,
-    IDENTICAL_ITEMS_BALANCED,
-    chores_blocks_instance,
+    CANONICAL,
+    FIXTURES,
     fraction_matrix,
-    goods_blocks_instance,
-    identical_items_instance,
     oracle_pareto_dominates,
     oracle_propx,
     oracle_weighted_prop,
@@ -42,7 +36,6 @@ from pins import run as run_golden
 from test_golden import recorded
 
 F = Fraction
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fixture(name: str) -> str:
@@ -291,18 +284,12 @@ def test_verify_rejects_non_string_owner(capsys, tmp_path):
 
 
 def test_canonical_literals_match_their_fixtures():
-    # tests/helpers.py writes the canonical instances and allocations as
-    # literals; fixtures/ holds them as files. Every fixture is one of them.
-    literals = {
-        "goods_blocks": (goods_blocks_instance(), {"x": GOODS_BLOCKS_X, "y": GOODS_BLOCKS_Y}),
-        "chores_blocks": (chores_blocks_instance(),
-                          {"x": CHORES_BLOCKS_X, "y": CHORES_BLOCKS_Y}),
-        "identical_items": (identical_items_instance(),
-                            {"balanced": IDENTICAL_ITEMS_BALANCED}),
-    }
-    names = {f"{name}_{suffix}" for name, (_, allocs) in literals.items() for suffix in allocs}
-    assert {p.stem for p in FIXTURES.glob("*.json")} == names | literals.keys()
-    for name, (instance, allocations) in literals.items():
+    # tests/helpers.py reads the canonical instances and allocations from
+    # fixtures/ on its own; the library's reader must read each file to the
+    # same value. Every fixture is one of them.
+    names = {f"{name}_{suffix}" for name, (_, allocs) in CANONICAL.items() for suffix in allocs}
+    assert {p.stem for p in FIXTURES.glob("*.json")} == names | CANONICAL.keys()
+    for name, (instance, allocations) in CANONICAL.items():
         got, agent_ids, item_ids = parse_instance(json.loads(Path(fixture(name)).read_text()))
         assert got == instance, name
         for suffix, allocation in allocations.items():

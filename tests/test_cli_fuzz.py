@@ -2,9 +2,7 @@
 input gets exit code 0, 1 or 2 and at most one JSON error line on stderr,
 never exit 3 and never a traceback."""
 
-import contextlib
 import copy
-import io
 import json
 import tempfile
 from pathlib import Path
@@ -12,7 +10,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv.cli import main
+from pins import run
 
 INSTANCE = {
     "agents": [{"id": "a", "weight": "1/3"}, {"id": "b", "weight": 2}],
@@ -81,15 +79,13 @@ def test_fuzzed_documents_get_an_honest_exit_code(data):
             paths[name] = str(Path(tmp) / f"{name}.json")
             Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
         for argv in ARGVS:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([a.format(**paths) for a in argv])
-            assert code in (0, 1, 2), (argv, docs, err.getvalue())
-            assert "Traceback" not in err.getvalue()
-            lines = err.getvalue().splitlines()
+            code, out, err = run([a.format(**paths) for a in argv])
+            assert code in (0, 1, 2), (argv, docs, err)
+            assert "Traceback" not in err
+            lines = err.splitlines()
             assert len(lines) <= 1
             if lines:
                 assert set(json.loads(lines[0])) == {"error"}
-                assert code == 2 and not out.getvalue()
+                assert code == 2 and not out
             else:
-                json.loads(out.getvalue())
+                json.loads(out)

@@ -1,20 +1,22 @@
 """Every tiny instance, pinned: sha256 digests of ``fairdiv solve`` stdout on
-each instance with entries in {-1, 0, 1}, and the paper's theorem checked
-on each 2x3 one.
+each instance with entries in {-1, 0, 1}, and on each 2x3 one with entries
+in {-1/2, 0, 1}, and the paper's theorem checked on each 2x3 one.
 
-The corpus of a shape n x m is every n x m matrix with entries in
-{-1, 0, 1}, in ``itertools.product`` order, first under equal weights and
-then under weights (1, 2, ..., n): 2 * 3**(nm) documents. Ties, zeros and
-degenerate vertices concentrate there, so Bland's tie-breaks decide many of
-its outputs, where the drawn documents of ``test_solve_digests`` barely meet
-them. ``tests/golden/corpus_digests.json`` holds, per shape, one sha256 per
-block of ``BLOCK`` consecutive ``solve`` stdouts, so a kernel that reaches
-the same vertex and duals passes whatever its data structure.
+The corpus of a shape n x m over three values is every n x m matrix with
+entries among them, in ``itertools.product`` order, first under equal
+weights and then under weights (1, 2, ..., n): 2 * 3**(nm) documents. Ties,
+zeros and degenerate vertices concentrate there, so Bland's tie-breaks
+decide many of its outputs, where the drawn documents of
+``test_solve_digests`` barely meet them. The p/q corpus ``2x3-pq`` has rows
+whose denominator ``d`` is 1 or 2, so it sees a kernel that scales agent
+rows by ``d``. ``tests/golden/corpus_digests.json`` holds, per corpus, one
+sha256 per block of ``BLOCK`` consecutive ``solve`` stdouts, so a kernel
+that reaches the same vertex and duals passes whatever its data structure.
 
-Tier-1 checks 2x3, naming each block that moved by its first document, and
-on each allocation weighted PROP1, integral PO by brute force, fPO by the
-reference LP and the welfare weights, with the oracles of ``helpers``.
-``tests/pins.py`` checks and records all three shapes.
+Tier-1 checks both 2x3 corpora, naming each block that moved by its first
+document, and on each allocation weighted PROP1, integral PO by brute
+force, fPO by the reference LP and the welfare weights, with the oracles of
+``helpers``. ``tests/pins.py`` checks and records all four corpora.
 """
 
 import functools
@@ -30,15 +32,20 @@ from helpers import oracle_weighted_prop1, oracle_weights_certify
 from pins import moved, read, sha256, solve_stdout, write
 
 DIGESTS = "corpus_digests.json"
-SHAPES = {"2x3": (2, 3), "2x4": (2, 4), "3x3": (3, 3)}
+INTEGERS, HALVES = (-1, 0, 1), ("-1/2", 0, 1)
+# each corpus: its shape and the values of its entries
+SHAPES = {"2x3": (2, 3, INTEGERS), "2x4": (2, 4, INTEGERS), "3x3": (3, 3, INTEGERS),
+          "2x3-pq": (2, 3, HALVES)}
+TIER1 = ("2x3", "2x3-pq")
 BLOCK = 500
 
 
-def documents(n: int, m: int) -> list:
-    """(name, instance document) pairs of the n x m corpus, in order."""
+def documents(n: int, m: int, entries: tuple = INTEGERS) -> list:
+    """(name, instance document) pairs of the n x m corpus over the
+    ``entries``, in order."""
     out = []
     for weighted in (False, True):
-        for values in itertools.product((-1, 0, 1), repeat=n * m):
+        for values in itertools.product(entries, repeat=n * m):
             rows = [list(values[i * m:(i + 1) * m]) for i in range(n)]
             agents = [{"id": f"a{i + 1}", "weight": i + 1} if weighted else {"id": f"a{i + 1}"}
                       for i in range(n)]
@@ -50,7 +57,7 @@ def documents(n: int, m: int) -> list:
 
 @functools.lru_cache(maxsize=None)
 def corpus(shape: str) -> tuple:
-    """The shape's documents and their stdouts."""
+    """The corpus's documents and their stdouts."""
     docs = documents(*SHAPES[shape])
     with tempfile.TemporaryDirectory() as workdir:
         return docs, [solve_stdout(doc, workdir) for _, doc in docs]
@@ -58,34 +65,36 @@ def corpus(shape: str) -> tuple:
 
 def blocks(shape: str) -> tuple:
     """The first document's name and the digest of each block of the
-    shape's stdouts."""
+    corpus's stdouts."""
     docs, outs = corpus(shape)
     return ([docs[k][0] for k in range(0, len(docs), BLOCK)],
             [sha256("".join(outs[k:k + BLOCK])) for k in range(0, len(outs), BLOCK)])
 
 
 def test_corpus_outputs_match_their_digests():
-    assert len(corpus("2x3")[0]) == 2 * 3 ** 6
-    changed = moved(*blocks("2x3"), read(DIGESTS)["2x3"])
-    assert not changed, f"{len(changed)} blocks of solve outputs moved, from {changed}"
+    for shape in TIER1:
+        assert len(corpus(shape)[0]) == 2 * 3 ** 6
+        changed = moved(*blocks(shape), read(DIGESTS)[shape])
+        assert not changed, f"{len(changed)} blocks of {shape} solve outputs moved, from {changed}"
 
 
 def test_corpus_allocations_are_weighted_prop1_and_pareto_optimal():
-    docs, outs = corpus("2x3")
-    for (name, doc), out in zip(docs, outs):
-        instance, agent_ids, item_ids = parse_instance(doc)
-        result = json.loads(out)
-        owners = tuple(agent_ids.index(result["allocation"][o]) for o in item_ids)
-        allocation = IntegralAllocation(instance.num_agents, owners)
-        weights = [Fraction(w) for w in result["certificates"]["welfareWeights"]]
-        assert oracle_weighted_prop1(instance, allocation).holds, name
-        assert oracle_is_pareto_optimal(instance, allocation), name
-        assert oracle_weights_certify(instance, allocation, weights), name
-        assert not lp_pareto_improvement_exists(instance, allocation), name
+    for shape in TIER1:
+        docs, outs = corpus(shape)
+        for (name, doc), out in zip(docs, outs):
+            instance, agent_ids, item_ids = parse_instance(doc)
+            result = json.loads(out)
+            owners = tuple(agent_ids.index(result["allocation"][o]) for o in item_ids)
+            allocation = IntegralAllocation(instance.num_agents, owners)
+            weights = [Fraction(w) for w in result["certificates"]["welfareWeights"]]
+            assert oracle_weighted_prop1(instance, allocation).holds, name
+            assert oracle_is_pareto_optimal(instance, allocation), name
+            assert oracle_weights_certify(instance, allocation, weights), name
+            assert not lp_pareto_improvement_exists(instance, allocation), name
 
 
 def check(record: bool) -> list:
-    """Recompute every shape's digests; record them, or return, per block
+    """Recompute every corpus's digests; record them, or return, per block
     that differs from the file, its first document's name."""
     got = {}
     for shape in SHAPES:

@@ -1,18 +1,13 @@
-import contextlib
-import io
-import json
-import os
 import random
 import tempfile
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdiv import cli, improve, lp
+from fairdiv import improve, lp
 from fairdiv.core import (
     FractionalAllocation,
     Instance,
@@ -25,29 +20,23 @@ from fairdiv.core import (
 from fairdiv.improve import improve_to_acyclic_fpo
 from fairdiv.lp import LpSolution, solve
 from fairdiv.rounding import allocate
-from fairdiv.serialize import parse_instance, print_instance
+from fairdiv.serialize import print_instance
 from helpers import (
+    CANONICAL,
     chores_blocks_instance,
     fraction_matrix,
     goods_blocks_instance,
+    improvement_lp,
+    lp_calls,
     oracle_argmax_is_lp_optimum,
     rand_instance,
     vertex_enumeration_optimum,
 )
+from pins import solve_stdout
 from reference_lp import LpProblem
-from test_pivot_digests import CORPUS_LPS, corpus
+from test_pivot_digests import CORPORA, CORPUS_LPS, corpus
 
 F = Fraction
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def _shares(inst) -> tuple:
-    return tuple(proportional_share(inst, i) for i in inst.agents)
-
-
-def _improvement_lp(inst):
-    """The LP improve_to_acyclic_fpo states: floors at the proportional shares."""
-    return lp.LpProblem(inst, _shares(inst))
 
 
 def _seed(inst) -> FractionalAllocation:
@@ -60,37 +49,29 @@ def test_proportional_seed_gives_entitlement_everywhere():
     seed = _seed(inst)
     assert seed.fractions[0] == (F(1, 2), F(1, 2))
     assert seed.fractions[1] == (F(1, 4), F(1, 4))
-    assert utilities(inst, seed) == _shares(inst)
+    assert utilities(inst, seed) == improvement_lp(inst).floors
 
 
 def test_the_improvement_lp_floors_are_the_proportional_shares():
-    # every LP improve solves, on the instance fixtures and the 2x3 corpus of
-    # the pivot digests, holds each agent to b_i * u_i(M), which the seed
-    # attains exactly
-    docs = [json.loads(path.read_text("utf-8")) for path in sorted(FIXTURES.glob("*.json"))]
-    instances = [parse_instance(doc)[0] for doc in docs if "utilities" in doc]
-    assert len(instances) == 3
-    instances += [inst for _, inst in corpus()]
-    problems, solve_lp = [], improve.solve
-
-    def recorded(problem):
-        problems.append(problem)
-        return solve_lp(problem)
-
-    with mock.patch.object(improve, "solve", recorded):
+    # every LP improve solves, on the canonical instances and both 2x3
+    # corpora of the pivot digests, holds each agent to b_i * u_i(M), which
+    # the seed attains exactly
+    instances = [instance for instance, _ in CANONICAL.values()]
+    instances += [inst for key in CORPORA for _, inst in corpus(key)]
+    with lp_calls() as problems:
         for inst in instances:
             improve_to_acyclic_fpo(inst)
-    assert len(problems) == CORPUS_LPS + 3
+    assert len(problems) == len(CORPORA) * CORPUS_LPS + 3
     for problem in problems:
         inst = problem.instance
-        assert problem.floors == _shares(inst) == utilities(inst, _seed(inst))
+        assert problem.floors == improvement_lp(inst).floors == utilities(inst, _seed(inst))
 
 
 def test_welfare_lp_single_item_two_agents():
     # one item worth 1 to agent 0 and -1 to agent 1; vertices of the
     # feasible region are (1/2, 1/2) and (1, 0), so the optimum is 1
     inst = Instance([[1], [-1]])
-    problem = _improvement_lp(inst)
+    problem = improvement_lp(inst)
     assert len(problem.constraints) == 3
     sol = solve(problem)
     assert sol.value == 1
@@ -151,7 +132,7 @@ def test_goods_blocks_welfare_optimum_is_67_50():
     blocks = [(0,), tuple(range(1, 11)), tuple(range(11, 31))]
     oracle_value, _ = vertex_enumeration_optimum(_aggregated_blocks_lp(inst, blocks))
     assert oracle_value == F(67, 50)
-    sol = solve(_improvement_lp(inst))
+    sol = solve(improvement_lp(inst))
     assert sol.value == F(67, 50)
 
 
@@ -160,7 +141,7 @@ def test_chores_blocks_welfare_optimum_is_minus_half():
     blocks = [tuple(range(10)), (10,), (11,)]
     oracle_value, _ = vertex_enumeration_optimum(_aggregated_blocks_lp(inst, blocks))
     assert oracle_value == F(-1, 2)
-    sol = solve(_improvement_lp(inst))
+    sol = solve(improvement_lp(inst))
     assert sol.value == F(-1, 2)
 
 
@@ -170,7 +151,7 @@ def test_improve_reaches_the_welfare_optimum_acyclically(make):
     x, _ = improve_to_acyclic_fpo(inst)
     assert find_cycle(consumption_graph(x)) is None
     welfare = sum(utilities(inst, x), F(0))
-    assert welfare == solve(_improvement_lp(inst)).value
+    assert welfare == solve(improvement_lp(inst)).value
     for i, value in enumerate(utilities(inst, x)):
         assert value >= proportional_share(inst, i)
 
@@ -188,7 +169,7 @@ def test_improve_postconditions_on_random_instances():
             assert value >= before
             assert value >= proportional_share(inst, i)
         welfare = sum(utilities(inst, x), F(0))
-        assert welfare == solve(_improvement_lp(inst)).value
+        assert welfare == solve(improvement_lp(inst)).value
         u = fraction_matrix(inst)
         for o in graph.shared_items():
             signs = {(u[i][o] > 0) - (u[i][o] < 0)
@@ -221,10 +202,10 @@ def test_tableau_cell_formula_bounds_the_solvers_tableau():
             rows.append(row)
         weights = [rng.randint(1, 4) for _ in range(n)] if trial % 3 else None
         inst = Instance(rows, weights)
-        tab = lp._standard_form(_improvement_lp(inst))[0]
+        tab = lp._standard_form(improvement_lp(inst))[0]
         cells = len(tab) * len(tab[0])
         formula = (n + m) * (n * m + 2 * n + m + 1)
-        positive = all(floor > 0 for floor in _shares(inst))
+        positive = all(floor > 0 for floor in improvement_lp(inst).floors)
         assert cells <= formula
         assert (cells == formula) == positive, (rows, weights)
         tight += positive
@@ -257,17 +238,6 @@ def test_improve_with_no_items():
 # the argmax shortcut: no LP when its unique optimum is the argmax
 
 
-def _counting_solver(monkeypatch) -> list:
-    calls = []
-
-    def counting(problem):
-        calls.append(problem)
-        return solve(problem)
-
-    monkeypatch.setattr(improve, "solve", counting)
-    return calls
-
-
 _GAPS = tuple(range(1, 20)) + (0,)
 
 
@@ -289,13 +259,6 @@ def _leaning_to_hits(draw):
     return Instance(rows, weights)
 
 
-def _solve_stdout(path: str) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["solve", path]) == 0
-    return out.getvalue()
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_leaning_to_hits())
 def test_argmax_shortcut_prints_what_the_lp_prints(instance):
@@ -306,12 +269,9 @@ def test_argmax_shortcut_prints_what_the_lp_prints(instance):
     n, m = instance.num_agents, instance.num_items
     doc = print_instance(instance, [f"a{i}" for i in range(n)], [f"o{j}" for j in range(m)])
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "instance.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        fast = _solve_stdout(path)
+        fast = solve_stdout(doc, tmp)
         with mock.patch.object(improve, "_argmax_owners", lambda instance: None):
-            assert _solve_stdout(path) == fast
+            assert solve_stdout(doc, tmp) == fast
 
 
 @pytest.mark.parametrize("rows, weights", [
@@ -321,23 +281,23 @@ def test_argmax_shortcut_prints_what_the_lp_prints(instance):
     ([[2, -3, 0]], None),  # one agent gets exactly u(M)
     ([[0, 3, 0], [0, 0, 3]], None),  # everyone values item 0 at 0
 ], ids=["two-maximisers", "at-share", "at-weighted-share", "one-agent", "all-zero-item"])
-def test_argmax_shortcut_leaves_ties_and_equal_shares_to_the_lp(monkeypatch, rows, weights):
+def test_argmax_shortcut_leaves_ties_and_equal_shares_to_the_lp(rows, weights):
     # each case skips the LP once its tie or share comparison is relaxed to >=
     instance = Instance(rows, weights)
     assert not oracle_argmax_is_lp_optimum(instance)
-    calls = _counting_solver(monkeypatch)
-    allocate(instance)
+    with lp_calls() as calls:
+        allocate(instance)
     assert len(calls) == 1
 
 
 def test_argmax_shortcut_takes_a_chores_only_instance(monkeypatch):
     instance = Instance([[-1, -3, F(-5, 2)], [-3, -1, -3]], weights=[2, 1])
     assert oracle_argmax_is_lp_optimum(instance)
-    calls = _counting_solver(monkeypatch)
-    fast = allocate(instance)
-    assert calls == []
-    assert fast.integral.owners == (0, 1, 0)
-    assert fast.welfare_weights == (1, 1)
-    monkeypatch.setattr(improve, "_argmax_owners", lambda instance: None)
-    assert allocate(instance) == fast
+    with lp_calls() as calls:
+        fast = allocate(instance)
+        assert calls == []
+        assert fast.integral.owners == (0, 1, 0)
+        assert fast.welfare_weights == (1, 1)
+        monkeypatch.setattr(improve, "_argmax_owners", lambda instance: None)
+        assert allocate(instance) == fast
     assert len(calls) == 1

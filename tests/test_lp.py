@@ -8,18 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairdiv.lp
-from fairdiv.core import Instance, InvariantViolation, proportional_share
+from fairdiv.core import Instance, InvariantViolation
 from fairdiv.improve import dominance_welfare_lp
 from helpers import (
-    CHORES_BLOCKS_X,
-    CHORES_BLOCKS_Y,
-    GOODS_BLOCKS_X,
-    GOODS_BLOCKS_Y,
-    IDENTICAL_ITEMS_BALANCED,
-    chores_blocks_instance,
+    CANONICAL,
     general_welfare_lp,
-    goods_blocks_instance,
-    identical_items_instance,
+    improvement_lp,
     is_vertex,
     rand_lp,
     to_fractional,
@@ -225,15 +219,6 @@ def test_nonbasic_structural_variables_are_zero():
 TESTS = Path(__file__).resolve().parent
 
 
-def _improvement_lp(instance, baseline=None):
-    """The LP improve states (floors at the proportional shares), or the
-    one with floors at a baseline's utilities."""
-    if baseline is None:
-        shares = [proportional_share(instance, i) for i in instance.agents]
-        return fairdiv.lp.LpProblem(instance, shares)
-    return dominance_welfare_lp(instance, baseline)
-
-
 def _agrees_with_the_reference(problem):
     """Solve ``problem`` with the library and its general statement with the
     reference, check that the library's solution is exactly the reference's
@@ -269,16 +254,12 @@ def test_library_pivot_is_textbook_elimination():
 def _fixture_lps():
     """Improvement LPs of the fixture instances, from the proportional seed
     and from each fixture allocation, and of the degenerate instances."""
-    fixtures = [
-        (goods_blocks_instance(), (GOODS_BLOCKS_X, GOODS_BLOCKS_Y)),
-        (chores_blocks_instance(), (CHORES_BLOCKS_X, CHORES_BLOCKS_Y)),
-        (identical_items_instance(), (IDENTICAL_ITEMS_BALANCED,)),
-    ]
     problems = []
-    for instance, allocations in fixtures:
-        problems.append(_improvement_lp(instance))
-        problems += [_improvement_lp(instance, to_fractional(a)) for a in allocations]
-    problems += [_improvement_lp(inst) for inst in _degenerate_instances(random.Random(23))]
+    for instance, allocations in CANONICAL.values():
+        problems.append(improvement_lp(instance))
+        problems += [dominance_welfare_lp(instance, to_fractional(a))
+                     for a in allocations.values()]
+    problems += [improvement_lp(inst) for inst in _degenerate_instances(random.Random(23))]
     return problems
 
 
@@ -291,7 +272,7 @@ def _panel_shape_lps():
     for n, m, weighted in ((6, 30, False), (7, 28, True)):
         rows = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
         weights = [rng.randint(1, 9) for _ in range(n)] if weighted else None
-        problems.append(_improvement_lp(Instance(rows, weights)))
+        problems.append(improvement_lp(Instance(rows, weights)))
     return problems
 
 
@@ -314,7 +295,7 @@ def test_library_simplex_matches_the_reference_when_rows_share_multipliers():
     # meets the same multiplier in many rows
     rng = random.Random(2024)
     row = [rng.randint(-9, 9) for _ in range(30)]
-    problem = _improvement_lp(Instance([[c * v for v in row] for c in (1, 1, 2, 1, 3, 2)]))
+    problem = improvement_lp(Instance([[c * v for v in row] for c in (1, 1, 2, 1, 3, 2)]))
     assert (problem.num_vars, len(problem.constraints)) == (180, 36)
     assert _agrees_with_the_reference(problem).value == 75
 
@@ -384,7 +365,7 @@ def _instances(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_instances())
 def test_library_simplex_matches_the_reference_on_random_improvement_lps(instance):
-    problem = _improvement_lp(instance)
+    problem = improvement_lp(instance)
     got = _agrees_with_the_reference(problem)
     if instance.num_agents * instance.num_items <= 6:
         general = general_welfare_lp(instance, problem.floors)
@@ -461,7 +442,8 @@ def _imported_modules(path) -> list:
 
 def test_library_and_reference_solvers_stay_apart():
     # A reference that re-exported fairdiv.lp would make the agreement tests
-    # vacuous, and the library may not lean on anything under tests/.
+    # vacuous, and the library may not lean on anything under tests/. Nor
+    # may helpers' fixture reader lean on the reader test_cli checks it with.
     test_modules = {p.stem for p in TESTS.glob("*.py")} | {"tests", "conftest"}
     for path in sorted((TESTS.parent / "src" / "fairdiv").glob("*.py")):
         for name in _imported_modules(path):
@@ -469,3 +451,4 @@ def test_library_and_reference_solvers_stay_apart():
     library = [name for name in _imported_modules(TESTS / "reference_lp.py")
                if name.split(".")[0] == "fairdiv"]
     assert library == ["fairdiv.core"]
+    assert "fairdiv.serialize" not in _imported_modules(TESTS / "helpers.py")

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from fairdiv.core import (
 from fairdiv import improve, rounding
 from fairdiv.improve import improve_to_acyclic_fpo
 from fairdiv.lp import LpSolution
-from fairdiv.lp import solve as lp_solve
 from fairdiv.rounding import allocate, round_acyclic
 from fairdiv.verify import is_pareto_optimal_integral, weighted_prop, weighted_prop1
 from helpers import (
@@ -23,6 +21,7 @@ from helpers import (
     forest_fixture,
     fraction_matrix,
     goods_blocks_instance,
+    lp_calls,
     oracle_argmax_is_lp_optimum,
     oracle_round,
     rand_instance,
@@ -244,17 +243,7 @@ def _degenerate_instances(rng):
         yield Instance(rows, weights)
 
 
-def test_pipeline_solves_at_most_one_lp(monkeypatch):
-    calls = []
-
-    def counting(problem):
-        calls.append(problem)
-        return lp_solve(problem)
-
-    # every module that imported the solver holds its own reference
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fairdiv") and getattr(module, "solve", None) is lp_solve:
-            monkeypatch.setattr(module, "solve", counting)
+def test_pipeline_solves_at_most_one_lp():
     rng = random.Random(8)
     instances = [rand_instance(rng, rng.randint(2, 4), rng.randint(2, 6),
                                weight_mode="random" if trial % 2 else "equal")
@@ -263,8 +252,8 @@ def test_pipeline_solves_at_most_one_lp(monkeypatch):
     hits = [oracle_argmax_is_lp_optimum(inst) for inst in instances]
     assert 0 < sum(hits) < len(instances)
     for inst, hit in zip(instances, hits):
-        calls.clear()
-        result = allocate(inst)
+        with lp_calls() as calls:
+            result = allocate(inst)
         # no LP when its unique optimum is the argmax
         assert len(calls) == (0 if hit else 1)
         # the LP's vertex is rounded as it is: a forest, one strict sign per shared item
