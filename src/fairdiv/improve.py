@@ -27,6 +27,7 @@ from fractions import Fraction
 from fairdiv.core import (
     FractionalAllocation,
     Instance,
+    IntegralAllocation,
     InvariantViolation,
     _mixed_sign_item,
     consumption_graph,
@@ -119,11 +120,6 @@ def _argmax_owners(instance: Instance):
     """The owner of every item in the utilitarian argmax allocation, when
     each item has exactly one agent valuing it most and every agent gets
     strictly more than its share ``b_i * u_i(M)``; None otherwise.
-
-    Reads the integer rows ``(d_i, N_i)``: ``u_i(o) > u_j(o)`` is
-    ``N_i[o] * d_j > N_j[o] * d_i``, and agent i's condition is
-    ``got * w.denominator > w.numerator * total`` on the row sums, with
-    ``w = b_i``, as both sides share the positive factor ``1 / d_i``.
     One agent never passes: it gets exactly ``u(M) = b * u(M)``.
     """
     rows = instance.integer_rows
@@ -140,13 +136,10 @@ def _argmax_owners(instance: Instance):
         if tied:
             return None
         owners.append(best)
-    got = [0] * len(rows)
-    for o, a in enumerate(owners):
-        got[a] += rows[a][1][o]
-    for (_, row), w, g in zip(rows, instance.weights, got):
-        if g * w.denominator <= w.numerator * sum(row):
-            return None
-    return owners
+    got = utilities(instance, IntegralAllocation(len(rows), owners))
+    if all(g > proportional_share(instance, i) for i, g in enumerate(got)):
+        return owners
+    return None
 
 
 def _check_shared_items_same_sign(instance: Instance, x: FractionalAllocation) -> None:

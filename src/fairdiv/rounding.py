@@ -19,9 +19,9 @@ optimality.
 another: the improvement LP's duals are the welfare weights, and replaying
 them on the fractional intermediate and on the integral output costs O(nm).
 No LP is solved when every item has exactly one agent valuing it most and
-that argmax leaves every agent strictly above its seed utility: the argmax
-is then the LP's unique optimum, integral, with every weight 1, and the
-same replays and PROP1 check run on it.
+that argmax leaves every agent strictly above its share ``b_i * u_i(M)``:
+the argmax is then the LP's unique optimum, integral, with every weight 1,
+and the same replays and PROP1 check run on it.
 
 Only the roots decide the owners. When the walk reaches an agent, the items
 it still shares are exactly those leading away from the root, so the order
@@ -114,9 +114,10 @@ def round_acyclic(instance: Instance, allocation: FractionalAllocation) -> Integ
 
 
 def allocate(instance: Instance) -> PipelineResult:
-    """Full pipeline: proportional seed, welfare improvement, rounding.
-    Returns the integral allocation, the fractional intermediate it was
-    rounded from, and certificates for both guarantees.
+    """Full pipeline: the improvement LP, whose floors are the proportional
+    shares, or the argmax when it is that LP's unique optimum; then
+    rounding. Returns the integral allocation, the fractional intermediate
+    it was rounded from, and certificates for both guarantees.
 
     The result is weighted-PROP1 and fractionally Pareto optimal; both are
     re-checked and a failure of either raises InvariantViolation, since it

@@ -28,7 +28,6 @@ from fairdiv.core import (
     Instance,
     IntegralAllocation,
     proportional_share,
-    utilities,
 )
 from fairdiv.verify import ADD_ITEM, MEETS_BOUND, REMOVE_ITEM, AgentWitness, PropertyReport
 from reference_lp import INFEASIBLE, OPTIMAL, LpProblem, solve
@@ -153,6 +152,26 @@ def rand_instance(rng: random.Random, n: int, m: int, lo: int = -5, hi: int = 5,
     else:
         raise ValueError(weight_mode)
     return Instance(utilities, weights)
+
+
+def degenerate_instances(rng: random.Random):
+    """Instances whose welfare LP has many optima: identical rows, rows that
+    are positive multiples of one row, and rows that are mostly zeros."""
+    yield Instance(((0, 4), (0, 1), (5, 1)))
+    yield Instance(((0, 4), (3, 1)))
+    yield Instance(((0, 2), (1, 1)))
+    for trial in range(30):
+        n, m = rng.randint(2, 4), rng.randint(2, 6)
+        weights = [rng.randint(1, 5) for _ in range(n)] if trial % 2 else None
+        base = [rng.randint(-3, 3) for _ in range(m)]
+        if trial % 3 == 0:
+            rows = [base] * n
+        elif trial % 3 == 1:
+            rows = [[F(rng.randint(1, 4), rng.randint(1, 3)) * v for v in base]
+                    for _ in range(n)]
+        else:
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(m)] for _ in range(n)]
+        yield Instance(rows, weights)
 
 
 def rand_fractional(rng: random.Random, n: int, m: int) -> FractionalAllocation:
@@ -615,9 +634,11 @@ def oracle_pareto_dominates(instance: Instance, better: IntegralAllocation,
 def oracle_is_pareto_optimal(instance: Instance, allocation: IntegralAllocation) -> bool:
     """The naive product scan: no owner assignment of all n**m gives every
     agent at least its bundle value and some agent more."""
+    u = fraction_matrix(instance)
+    values = [_oracle_bundle_value(u[i], allocation.owners, i) for i in instance.agents]
     for owners in itertools.product(instance.agents, repeat=instance.num_items):
-        if oracle_pareto_dominates(instance, IntegralAllocation(instance.num_agents, owners),
-                                   allocation):
+        other = [_oracle_bundle_value(u[i], owners, i) for i in instance.agents]
+        if all(a >= b for a, b in zip(other, values)) and other != values:
             return False
     return True
 
@@ -625,8 +646,8 @@ def oracle_is_pareto_optimal(instance: Instance, allocation: IntegralAllocation)
 # ---------------------------------------------------------------------------
 # LP oracles for fractional Pareto optimality
 #
-# verify decides fPO with a combinatorial ratio-graph check. These are the
-# two LP formulations it replaced, kept as independent references: one asks
+# verify decides fPO with a combinatorial ratio-graph check. These are two
+# LP formulations of the question, kept as independent references: one asks
 # for a Pareto improvement directly, the other for welfare weights. They run
 # the reference simplex in reference_lp, which shares no solver code with
 # the library and which the check they are compared with never calls, so a
@@ -637,13 +658,30 @@ def oracle_is_pareto_optimal(instance: Instance, allocation: IntegralAllocation)
 
 def lp_pareto_improvement_exists(instance: Instance, allocation) -> bool:
     """Is there a fractional allocation weakly better for everyone and
-    strictly better in total welfare? Solved as the welfare LP with every
-    agent held to its current utility."""
+    strictly better in total welfare?
+
+    Every allocation y is reached from x by moving shares of items from
+    their consumers to other agents: on each item, the agents with
+    y_io < x_io hand their losses to those with y_io > x_io. So the LP's
+    variables are the moves (i, j, o) of part of x_io from i to j, and it
+    maximizes their welfare gain ``u_j(o) - u_i(o)`` per unit with no
+    agent's utility falling and no consumer moving more of an item than it
+    has. Moving nothing is feasible, on the slack basis; an improvement
+    exists iff the optimum is positive."""
     if isinstance(allocation, IntegralAllocation):
         allocation = to_fractional(allocation)
-    solution = solve(general_welfare_lp(instance, utilities(instance, allocation)))
+    u, x = fraction_matrix(instance), allocation.fractions
+    moves = [(i, j, o) for o in instance.items for i in instance.agents if x[i][o]
+             for j in instance.agents if j != i]
+    zero, one = Fraction(0), Fraction(1)
+    constraints = [(tuple(u[a][o] if j == a else -u[a][o] if i == a else zero
+                          for i, j, o in moves), ">=", zero) for a in instance.agents]
+    constraints += [(tuple(one if (k, p) == (i, o) else zero for k, _, p in moves), "<=", x[i][o])
+                    for o in instance.items for i in instance.agents if x[i][o]]
+    objective = tuple(u[j][o] - u[i][o] for i, j, o in moves)
+    solution = solve(LpProblem(len(moves), objective, tuple(constraints)))
     assert solution.status == OPTIMAL, solution.status
-    return solution.value > sum(utilities(instance, allocation), Fraction(0))
+    return solution.value > 0
 
 
 def lp_find_welfare_weights(instance: Instance, allocation):

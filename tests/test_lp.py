@@ -12,6 +12,7 @@ from fairdiv.core import Instance, InvariantViolation
 from fairdiv.improve import dominance_welfare_lp
 from helpers import (
     CANONICAL,
+    degenerate_instances,
     general_welfare_lp,
     improvement_lp,
     is_vertex,
@@ -20,7 +21,6 @@ from helpers import (
     vertex_enumeration_optimum,
 )
 from reference_lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, solve
-from test_rounding import _degenerate_instances
 
 
 F = Fraction
@@ -259,7 +259,7 @@ def _fixture_lps():
         problems.append(improvement_lp(instance))
         problems += [dominance_welfare_lp(instance, to_fractional(a))
                      for a in allocations.values()]
-    problems += [improvement_lp(inst) for inst in _degenerate_instances(random.Random(23))]
+    problems += [improvement_lp(inst) for inst in degenerate_instances(random.Random(23))]
     return problems
 
 

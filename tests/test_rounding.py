@@ -9,20 +9,18 @@ from fairdiv.core import (
     IntegralAllocation,
     InvariantViolation,
     consumption_graph,
-    find_cycle,
 )
 from fairdiv import improve, rounding
 from fairdiv.improve import improve_to_acyclic_fpo
 from fairdiv.lp import LpSolution
 from fairdiv.rounding import allocate, round_acyclic
-from fairdiv.verify import is_pareto_optimal_integral, weighted_prop, weighted_prop1
+from fairdiv.verify import weighted_prop, weighted_prop1
 from helpers import (
     chores_blocks_instance,
+    degenerate_instances,
     forest_fixture,
     fraction_matrix,
     goods_blocks_instance,
-    lp_calls,
-    oracle_argmax_is_lp_optimum,
     oracle_round,
     rand_instance,
     rand_sharing_forest,
@@ -184,7 +182,7 @@ def test_round_acyclic_matches_the_nearest_root_oracle():
                              weight_mode="random" if trial % 2 else "equal")
         cases.append((inst, improve_to_acyclic_fpo(inst)[0]))
     cases += [(inst, improve_to_acyclic_fpo(inst)[0])
-              for inst in _degenerate_instances(random.Random(23))]
+              for inst in degenerate_instances(random.Random(23))]
     shared = 0
     for inst, allocation in cases:
         owners = round_acyclic(inst, allocation).owners
@@ -223,48 +221,6 @@ def test_pipeline_chores_blocks():
     assert weighted_prop(inst, result.fractional).holds
 
 
-def _degenerate_instances(rng):
-    """Instances whose welfare LP has many optima: identical rows, rows that
-    are positive multiples of one row, and rows that are mostly zeros."""
-    yield Instance(((0, 4), (0, 1), (5, 1)))
-    yield Instance(((0, 4), (3, 1)))
-    yield Instance(((0, 2), (1, 1)))
-    for trial in range(30):
-        n, m = rng.randint(2, 4), rng.randint(2, 6)
-        weights = [rng.randint(1, 5) for _ in range(n)] if trial % 2 else None
-        base = [rng.randint(-3, 3) for _ in range(m)]
-        if trial % 3 == 0:
-            rows = [base] * n
-        elif trial % 3 == 1:
-            rows = [[F(rng.randint(1, 4), rng.randint(1, 3)) * v for v in base]
-                    for _ in range(n)]
-        else:
-            rows = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(m)] for _ in range(n)]
-        yield Instance(rows, weights)
-
-
-def test_pipeline_solves_at_most_one_lp():
-    rng = random.Random(8)
-    instances = [rand_instance(rng, rng.randint(2, 4), rng.randint(2, 6),
-                               weight_mode="random" if trial % 2 else "equal")
-                 for trial in range(10)]
-    instances += _degenerate_instances(random.Random(19))
-    hits = [oracle_argmax_is_lp_optimum(inst) for inst in instances]
-    assert 0 < sum(hits) < len(instances)
-    for inst, hit in zip(instances, hits):
-        with lp_calls() as calls:
-            result = allocate(inst)
-        # no LP when its unique optimum is the argmax
-        assert len(calls) == (0 if hit else 1)
-        # the LP's vertex is rounded as it is: a forest, one strict sign per shared item
-        graph = consumption_graph(result.fractional)
-        assert find_cycle(graph) is None
-        u = fraction_matrix(inst)
-        for o in graph.shared_items():
-            assert len({u[i][o] > 0 for i in graph.item_agents[o]}) == 1
-            assert all(u[i][o] != 0 for i in graph.item_agents[o])
-
-
 @pytest.mark.parametrize("bad", [(F(1), F(100)), (F(0), F(1))])
 def test_pipeline_rejects_weights_that_do_not_certify(monkeypatch, bad):
     inst = Instance([[4, 1], [1, 4]])
@@ -273,36 +229,3 @@ def test_pipeline_rejects_weights_that_do_not_certify(monkeypatch, bad):
                         lambda instance: (improve(instance)[0], bad))
     with pytest.raises(InvariantViolation):
         allocate(inst)
-
-
-def test_pipeline_is_deterministic():
-    rng = random.Random(41)
-    inst = rand_instance(rng, 3, 5, weight_mode="random")
-    first = allocate(inst)
-    second = allocate(inst)
-    assert first.integral.owners == second.integral.owners
-    assert first.fractional.fractions == second.fractional.fractions
-    assert first.welfare_weights == second.welfare_weights
-
-
-def test_pipeline_random_instances_keep_guarantees():
-    rng = random.Random(1009)
-    for trial in range(25):
-        n = rng.randint(2, 3)
-        m = rng.randint(2, 5)
-        mode = "equal" if trial % 2 else "random"
-        inst = rand_instance(rng, n, m, weight_mode=mode)
-        result = allocate(inst)
-        assert result.prop1.holds
-        assert is_pareto_optimal_integral(inst, result.integral)
-        for o in inst.items:
-            assert result.fractional.fractions[result.integral.owners[o]][o] > 0
-
-
-def test_pipeline_fractional_intermediate_is_proportional():
-    rng = random.Random(523)
-    for _ in range(15):
-        inst = rand_instance(rng, rng.randint(2, 4), rng.randint(1, 5),
-                             weight_mode="random")
-        result = allocate(inst)
-        assert weighted_prop(inst, result.fractional).holds

@@ -6,7 +6,8 @@ traced CLI call prints its golden output and leaves no wrapper behind."""
 import importlib.util
 from pathlib import Path
 
-from test_golden import GOLDEN, recorded, run
+from pins import GOLDEN, run
+from test_golden import recorded
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 # golden case -> its exit code: a solve, and a verify whose property fails
