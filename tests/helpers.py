@@ -27,8 +27,10 @@ from fairdiv.core import (
     FractionalAllocation,
     Instance,
     IntegralAllocation,
+    consumption_graph,
     proportional_share,
 )
+from fairdiv.rounding import allocate
 from fairdiv.verify import ADD_ITEM, MEETS_BOUND, REMOVE_ITEM, AgentWitness, PropertyReport
 from reference_lp import INFEASIBLE, OPTIMAL, LpProblem, solve
 
@@ -714,3 +716,64 @@ def lp_find_welfare_weights(instance: Instance, allocation):
         return None
     assert solution.status == OPTIMAL, solution.status
     return tuple(mu + 1 for mu in solution.assignment)
+
+
+# ---------------------------------------------------------------------------
+# The paper's theorem: what every output of allocate must satisfy, checked
+# with the oracles above only, on each input stream by the one test it has
+
+
+def check_theorem(instances, twice: bool = False) -> int:
+    """Assert the paper's theorem and its certificates on ``allocate``'s
+    result for each instance, and, when ``twice``, that a second call
+    returns an equal result. Return how many instances are argmax hits,
+    whose improvement LP has the utilitarian argmax as unique optimum."""
+    hits = 0
+    with lp_calls() as problems:
+        for inst in instances:
+            hit = oracle_argmax_is_lp_optimum(inst)
+            problems.clear()
+            result = allocate(inst)
+            _check_output(inst, result, hit, problems)
+            if twice:
+                assert allocate(inst) == result
+            hits += hit
+    # every stream of more than a few instances meets both the argmax and the LP
+    assert len(instances) <= 3 or 0 < hits < len(instances)
+    return hits
+
+
+def _check_output(inst, result, hit: bool, problems: list) -> None:
+    """The theorem on one ``allocate`` result: ``hit`` says whether the
+    argmax is the improvement LP's unique optimum, and ``problems`` are the
+    LPs the call solved."""
+    n, m = inst.num_agents, inst.num_items
+    u = fraction_matrix(inst)
+    x, owners, weights = result.fractional.fractions, result.integral.owners, result.welfare_weights
+    shares = [inst.weights[i] * oracle_total_value(inst, i) for i in inst.agents]
+    # weighted PROP1 and fPO, so PO; PO again by brute force on small instances
+    assert oracle_weighted_prop1(inst, result.integral).holds
+    assert not lp_pareto_improvement_exists(inst, result.integral)
+    if n ** m <= 64:
+        assert oracle_is_pareto_optimal(inst, result.integral)
+    # welfare weights >= 1 under which every consumer of both allocations maximizes
+    assert len(weights) == n and all(w >= 1 for w in weights)
+    assert oracle_weights_certify(inst, result.fractional, weights)
+    assert oracle_weights_certify(inst, result.integral, weights)
+    # the fractional intermediate: a forest, one strict sign per shared item,
+    # every agent at or above its share and every owner one of its consumers
+    graph = consumption_graph(result.fractional)
+    assert oracle_closing_edge(graph) is None
+    for o in graph.shared_items():
+        signs = {(u[i][o] > 0) - (u[i][o] < 0) for i in graph.item_agents[o]}
+        assert signs in ({1}, {-1})
+    values = [sum((v * f for v, f in zip(u[i], x[i])), F(0)) for i in inst.agents]
+    assert all(value >= share for value, share in zip(values, shares))
+    assert all(x[owners[o]][o] > 0 for o in inst.items)
+    # ... and it is the improvement LP's optimum: pi_i = 1 - weights[i] <= 0 on
+    # the agent rows and p_o = max_j weights[j] * u_j(o) on the item rows are
+    # dual feasible, and complementary slackness holds, since every consumer
+    # attains p_o and every agent with pi_i != 0 sits exactly at its share
+    assert all(value == share for value, share, w in zip(values, shares, weights) if w != 1)
+    # no LP exactly when the argmax is its unique optimum, else one held to the shares
+    assert [list(problem.floors) for problem in problems] == ([] if hit else [shares])

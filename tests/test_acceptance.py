@@ -1,7 +1,9 @@
 """Acceptance gate: the package's end-to-end guarantees, checked at full
-strength. ``test_every_output_is_weighted_prop1_and_fpo`` states the
-paper's theorem once, on every input stream the suite draws, with the
-oracles of ``helpers``; each other test covers one promised behavior. Each
+strength. ``helpers.check_theorem`` states the paper's theorem once, with
+the oracles of ``helpers``; ``test_every_output_is_weighted_prop1_and_fpo``
+asserts it on the seeded input streams, and the random-suite and weights
+tests on the 500-instance suite and the canonical fixtures. Each other test
+covers one promised behavior. Each
 prints a single summary line; run with -v for one pass/fail line per
 guarantee.
 """
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairdiv.core import FractionalAllocation, Instance, consumption_graph
+from fairdiv.core import FractionalAllocation, Instance
 from fairdiv.rounding import allocate, round_acyclic
 from fairdiv.verify import (
     ADD_ITEM,
@@ -31,27 +33,18 @@ from helpers import (
     GOODS_BLOCKS_X,
     GOODS_BLOCKS_Y,
     IDENTICAL_ITEMS_BALANCED,
+    check_theorem,
     chores_blocks_instance,
     degenerate_instances,
     forest_fixture,
-    fraction_matrix,
     goods_blocks_instance,
     identical_items_instance,
     is_vertex,
-    lp_calls,
-    lp_pareto_improvement_exists,
-    oracle_argmax_is_lp_optimum,
-    oracle_closing_edge,
-    oracle_is_pareto_optimal,
-    oracle_total_value,
-    oracle_weighted_prop1,
-    oracle_weights_certify,
     rand_instance,
     rand_lp,
     vertex_enumeration_optimum,
 )
 from reference_lp import OPTIMAL, solve
-from test_pivot_digests import CORPORA, corpus
 
 F = Fraction
 
@@ -75,14 +68,12 @@ def _random_first(rng, trial):
     return ("random", "equal")[trial % 2]
 
 
-# Each input stream: its instances, and whether allocate runs twice on each
-# to show that it is deterministic. "random-500" is 500 instances, n in 2..4,
-# m in 2..6, integer utilities in [-5, 5] with zeros possible, alternating
-# equal and random entitlements; "seed-31" reaches n = 1 and m = 0; the
-# corpora are the 2x3 ones of the digest pins.
+# The seeded streams that no other test owns: each one's instances, and
+# whether allocate runs twice on each to show that it is deterministic.
+# "seed-31" reaches n = 1 and m = 0. The 500-instance suite and the canonical
+# fixtures have tests of their own below; the integer 2x3 corpus is checked
+# in test_corpus_digests and the p/q one in test_improve's floors test.
 STREAMS = {
-    "fixtures": (lambda: [inst for inst, _ in CANONICAL.values()], True),
-    "random-500": (lambda: _drawn(20260819, 500, (2, 4), (2, 6), _equal_first), False),
     "seed-8": (lambda: _drawn(8, 10, (2, 4), (2, 6), _equal_first), False),
     "seed-1009": (lambda: _drawn(1009, 25, (2, 3), (2, 5), _random_first), False),
     "seed-523": (lambda: _drawn(523, 15, (2, 4), (1, 5), lambda rng, trial: "random"), False),
@@ -91,68 +82,33 @@ STREAMS = {
     "seed-41": (lambda: [rand_instance(random.Random(41), 3, 5, weight_mode="random")], True),
     "seed-77": (lambda: [rand_instance(random.Random(77), 3, 5)], True),
     "degenerate-19": (lambda: list(degenerate_instances(random.Random(19))), False),
-    **{key: (lambda key=key: [inst for _, inst in corpus(key)], False) for key in CORPORA},
 }
 
 
-def _check_theorem(inst, result, hit: bool, problems: list) -> None:
-    """Assert the paper's theorem and its certificates on one ``allocate``
-    result with the oracles of ``helpers``: ``hit`` says whether the argmax
-    is the improvement LP's unique optimum, and ``problems`` are the LPs
-    the call solved."""
-    n, m = inst.num_agents, inst.num_items
-    u = fraction_matrix(inst)
-    x, owners, weights = result.fractional.fractions, result.integral.owners, result.welfare_weights
-    shares = [inst.weights[i] * oracle_total_value(inst, i) for i in inst.agents]
-    # weighted PROP1 and fPO, so PO; PO again by brute force on small instances
-    assert oracle_weighted_prop1(inst, result.integral).holds
-    assert not lp_pareto_improvement_exists(inst, result.integral)
-    if n ** m <= 64:
-        assert oracle_is_pareto_optimal(inst, result.integral)
-    # welfare weights >= 1 under which every consumer of both allocations maximizes
-    assert len(weights) == n and all(w >= 1 for w in weights)
-    assert oracle_weights_certify(inst, result.fractional, weights)
-    assert oracle_weights_certify(inst, result.integral, weights)
-    # the fractional intermediate: a forest, one strict sign per shared item,
-    # every agent at or above its share and every owner one of its consumers
-    graph = consumption_graph(result.fractional)
-    assert oracle_closing_edge(graph) is None
-    for o in graph.shared_items():
-        signs = {(u[i][o] > 0) - (u[i][o] < 0) for i in graph.item_agents[o]}
-        assert signs in ({1}, {-1})
-    values = [sum((v * f for v, f in zip(u[i], x[i])), F(0)) for i in inst.agents]
-    assert all(value >= share for value, share in zip(values, shares))
-    assert all(x[owners[o]][o] > 0 for o in inst.items)
-    # ... and it is the improvement LP's optimum: pi_i = 1 - weights[i] <= 0 on
-    # the agent rows and p_o = max_j weights[j] * u_j(o) on the item rows are
-    # dual feasible, and complementary slackness holds, since every consumer
-    # attains p_o and every agent with pi_i != 0 sits exactly at its share
-    assert all(value == share for value, share, w in zip(values, shares, weights) if w != 1)
-    # no LP exactly when the argmax is its unique optimum, else one held to the shares
-    assert [list(problem.floors) for problem in problems] == ([] if hit else [shares])
+def _assert_theorem(name: str, instances: list, twice: bool = False) -> None:
+    start = time.perf_counter()
+    hits = check_theorem(instances, twice)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 300
+    print(f"{name}: {len(instances)} outputs, {hits} without an LP, weighted PROP1 and "
+          f"fPO with their certificates in {elapsed:.1f}s: pass")
 
 
 @pytest.mark.parametrize("stream", list(STREAMS))
 def test_every_output_is_weighted_prop1_and_fpo(stream):
     build, twice = STREAMS[stream]
-    instances = build()
-    hits = 0
-    start = time.perf_counter()
-    with lp_calls() as problems:
-        for inst in instances:
-            hit = oracle_argmax_is_lp_optimum(inst)
-            problems.clear()
-            result = allocate(inst)
-            _check_theorem(inst, result, hit, problems)
-            if twice:
-                assert allocate(inst) == result
-            hits += hit
-    elapsed = time.perf_counter() - start
-    assert elapsed < 300
-    # every stream of more than a few instances meets both the argmax and the LP
-    assert len(instances) <= 3 or 0 < hits < len(instances)
-    print(f"{stream}: {len(instances)} outputs, {hits} without an LP, weighted PROP1 and "
-          f"fPO with their certificates in {elapsed:.1f}s: pass")
+    _assert_theorem(stream, build(), twice)
+
+
+def test_pipeline_guarantees_on_random_suite():
+    # n in 2..4, m in 2..6, integer utilities in [-5, 5] with zeros possible,
+    # alternating equal and random entitlements
+    _assert_theorem("random suite", _drawn(20260819, 500, (2, 4), (2, 6), _equal_first))
+
+
+def test_emitted_weights_certify_both_allocations():
+    # and the rest of the theorem, on the canonical fixtures, each run twice
+    _assert_theorem("fixtures", [inst for inst, _ in CANONICAL.values()], twice=True)
 
 
 def test_goods_instance_dominating_allocation_fails_prop1():

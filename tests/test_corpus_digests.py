@@ -1,6 +1,7 @@
 """Every tiny instance, pinned: sha256 digests of ``fairdiv solve`` stdout on
 each instance with entries in {-1, 0, 1}, and on each 2x3 one with entries
-in {-1/2, 0, 1}.
+in {-1/2, 0, 1}, and the paper's theorem checked on each 2x3 one over
+{-1, 0, 1}.
 
 The corpus of a shape n x m over three values is every n x m matrix with
 entries among them, in ``itertools.product`` order, first under equal
@@ -14,14 +15,17 @@ sha256 per block of ``BLOCK`` consecutive ``solve`` stdouts, so a kernel
 that reaches the same vertex and duals passes whatever its data structure.
 
 Tier-1 checks both 2x3 corpora, naming each block that moved by its first
-document; ``test_acceptance`` checks the paper's theorem on each of their
-instances. ``tests/pins.py`` checks and records all four corpora.
+document, and ``helpers.check_theorem`` on ``allocate``'s result for each
+instance of the integer one; ``test_improve`` checks it on the p/q one.
+``tests/pins.py`` checks and records all four corpora.
 """
 
 import functools
 import itertools
 import tempfile
 
+from fairdiv.serialize import parse_instance
+from helpers import check_theorem
 from pins import moved, read, sha256, solve_stdout, write
 
 DIGESTS = "corpus_digests.json"
@@ -69,6 +73,11 @@ def test_corpus_outputs_match_their_digests():
         assert len(corpus(shape)[0]) == 2 * 3 ** 6
         changed = moved(*blocks(shape), read(DIGESTS)[shape])
         assert not changed, f"{len(changed)} blocks of {shape} solve outputs moved, from {changed}"
+
+
+def test_corpus_allocations_are_weighted_prop1_and_pareto_optimal():
+    instances = [parse_instance(doc)[0] for _, doc in documents(*SHAPES["2x3"])]
+    check_theorem(instances)
 
 
 def check(record: bool) -> list:

@@ -22,6 +22,7 @@ from fairdiv.lp import LpSolution, solve
 from fairdiv.rounding import allocate
 from fairdiv.serialize import print_instance
 from helpers import (
+    check_theorem,
     chores_blocks_instance,
     fraction_matrix,
     goods_blocks_instance,
@@ -32,6 +33,7 @@ from helpers import (
 )
 from pins import solve_stdout
 from reference_lp import LpProblem
+from test_pivot_digests import corpus
 
 F = Fraction
 
@@ -44,6 +46,12 @@ def test_proportional_seed_gives_entitlement_everywhere():
     assert seed.fractions[0] == (F(1, 2), F(1, 2))
     assert seed.fractions[1] == (F(1, 4), F(1, 4))
     assert utilities(inst, seed) == improvement_lp(inst).floors
+
+
+def test_the_improvement_lp_floors_are_the_proportional_shares():
+    # every LP allocate solves on the 2x3 p/q corpus holds each agent to
+    # b_i * u_i(M), read off the LPs it recorded, with the rest of the theorem
+    check_theorem([inst for _, inst in corpus("corpus-pq")])
 
 
 def test_welfare_lp_single_item_two_agents():
