@@ -29,7 +29,7 @@ from unittest import mock
 from fairdiv import improve, lp
 from fairdiv.serialize import parse_instance
 from helpers import oracle_argmax_is_lp_optimum
-from pins import moved, parametrize, read, sha256, solve_stdout, write
+from pins import moved, parametrize, read, run, sha256, solve_stdout, write
 from test_corpus_digests import SHAPES
 from test_corpus_digests import documents as corpus_documents
 from test_solve_digests import SUBSET, documents
@@ -39,6 +39,13 @@ DIGESTS = "pivot_digests.json"
 CORPORA = {"corpus": "2x3", "corpus-pq": "2x3-pq"}
 # instances of each corpus whose argmax is not the LP's unique optimum
 CORPUS_LPS = 1058
+# ``fairdiv gen --seed 1`` documents, by name: (agents, items, weight mode).
+# The optimum of each one's LP is not unique, so its path fixes the output.
+LARGE = {"gen-10x50-equal": (10, 50, "equal"), "gen-15x80-equal": (15, 80, "equal"),
+         "gen-20x120-equal": (20, 120, "equal"),
+         "gen-10x50-random": (10, 50, "random-positive-normalized")}
+# the one that tier-1 checks: its LP takes about 0.7 s, the largest about 19 s
+TIER1_LARGE = "gen-10x50-equal"
 
 
 def corpus(key: str) -> list:
@@ -76,6 +83,18 @@ def document_digest(doc, workdir) -> str:
     with recording() as lps:
         solve_stdout(doc, workdir)
     return _paths_sha256(lps)
+
+
+def large_digests(name: str, workdir) -> dict:
+    """The sha256 of the gen document, of its ``solve`` stdout and of the
+    paths of that solve."""
+    n, m, mode = LARGE[name]
+    code, text, _ = run(["gen", "--agents", str(n), "--items", str(m), "--seed", "1",
+                         "--weight-mode", mode])
+    assert code == 0
+    with recording() as lps:
+        out = solve_stdout(json.loads(text), workdir)
+    return {"instance": sha256(text), "stdout": sha256(out), "path": _paths_sha256(lps)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,17 +135,24 @@ pytest_generate_tests = parametrize(test_document_pivot_paths_match_their_digest
                                     "name,doc", SUBSET)
 
 
+def test_large_document_path_and_stdout_match_their_digests(tmp_path):
+    assert large_digests(TIER1_LARGE, tmp_path) == read(DIGESTS)["large"][TIER1_LARGE]
+
+
 def check(record: bool) -> list:
     """Recompute every digest; record them, or return the names of the
     documents and corpus instances whose paths differ from the file."""
     with tempfile.TemporaryDirectory() as workdir:
         docs = {name: document_digest(doc, workdir) for name, doc in documents()}
+        large = {name: large_digests(name, workdir) for name in LARGE}
     corpora = {key: corpus_digests(key)[:2] for key in CORPORA}
     if record:
         write(DIGESTS, {"documents": docs,
-                        **{key: digests for key, (_, digests) in corpora.items()}})
+                        **{key: digests for key, (_, digests) in corpora.items()},
+                        "large": large})
         return []
     want = read(DIGESTS)
     return (moved(list(docs), list(docs.items()), list(want["documents"].items()))
             + [name for key, (names, digests) in corpora.items()
-               for name in moved(names, digests, want.get(key, []))])
+               for name in moved(names, digests, want.get(key, []))]
+            + moved(list(large), list(large.items()), list(want.get("large", {}).items())))
