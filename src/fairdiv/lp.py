@@ -87,9 +87,13 @@ class LpSolution(Record):
     value moves with that row's floor, <= 0), and None for an item row. The
     shadow prices form an optimal dual solution, so complementary slackness
     ties them to every optimal assignment.
+
+    ``pivots`` is Bland's path to it: per phase (phase 1, the drive-out of
+    artificials, phase 2), the ``(leaving basic variable, entering
+    column)`` pair of each pivot, in the phase-1 tableau's column order.
     """
 
-    _fields = ("value", "assignment", "duals")
+    _fields = ("value", "assignment", "duals", "pivots")
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -99,15 +103,15 @@ def solve(problem: LpProblem) -> LpSolution:
 
     cost1 = [Fraction(0)] * art_start + [Fraction(-1)] * (len(tab[0]) - 1 - art_start)
     obj = _reduced_costs(tab, basic, cost1)
-    _run_simplex(tab, basic, obj)
+    phase1 = _run_simplex(tab, basic, obj)
     if obj[-1] != 0:
         raise InvariantViolation("the LP has no feasible point")
-    _drive_out_artificials(tab, basic, art_start)
+    drive_out = _drive_out_artificials(tab, basic, art_start)
     tab = [row[:art_start] + [row[-1]] for row in tab]
 
     cost2 = [Fraction(v, d) for d, row in problem.instance.integer_rows for v in row]
     obj = _reduced_costs(tab, basic, cost2 + [Fraction(0)] * (art_start - n_struct))
-    _run_simplex(tab, basic, obj)
+    phase2 = _run_simplex(tab, basic, obj)
 
     support = [(b, tab[r][-1]) for r, b in enumerate(basic) if b < n_struct and tab[r][-1]]
     assignment = [Fraction(0)] * n_struct
@@ -119,7 +123,7 @@ def solve(problem: LpProblem) -> LpSolution:
     # Agent i's slack is -1 in its row as stated and 0 in every other, so its
     # reduced cost is the row's y. Item rows have no slack: they get None.
     duals = tuple(obj[n_struct:art_start]) + (None,) * problem.instance.num_items
-    return LpSolution(-obj[-1], tuple(assignment), duals)
+    return LpSolution(-obj[-1], tuple(assignment), duals, (phase1, drive_out, phase2))
 
 
 # The dense tableau has n + m rows and at most nm + 2n + m + 1 columns: the
@@ -181,13 +185,14 @@ def _reduced_costs(tab, basic, cost):
     return obj
 
 
-def _run_simplex(tab, basic, obj) -> None:
-    """Bland-rule pivoting until optimal."""
+def _run_simplex(tab, basic, obj) -> tuple:
+    """Bland-rule pivoting until optimal; returns its (leaving, entering) pairs."""
     ncols = len(obj) - 1
+    path = []
     while True:
         enter = next((j for j in range(ncols) if obj[j].numerator > 0), None)
         if enter is None:
-            return
+            return tuple(path)
         leave = None
         best = None
         for r, row in enumerate(tab):
@@ -199,6 +204,7 @@ def _run_simplex(tab, basic, obj) -> None:
                     leave = r
         if leave is None:
             raise InvariantViolation("the LP is unbounded")
+        path.append((basic[leave], enter))
         _pivot(tab, basic, obj, leave, enter)
 
 
@@ -237,8 +243,10 @@ def _pivot(tab, basic, obj, r, j):
     basic[r] = j
 
 
-def _drive_out_artificials(tab, basic, art_start):
-    """Replace basic artificials (all at value 0 here) by real columns."""
+def _drive_out_artificials(tab, basic, art_start) -> tuple:
+    """Replace basic artificials (all at value 0 here) by real columns, as
+    ``_run_simplex`` returning the pivots."""
+    path = []
     for r in range(len(tab) - 1, -1, -1):
         if basic[r] < art_start:
             continue
@@ -246,7 +254,9 @@ def _drive_out_artificials(tab, basic, art_start):
         col = next((j for j in range(art_start) if row[j]), None)
         if col is None:
             raise InvariantViolation("the LP's rows are linearly dependent")
+        path.append((basic[r], col))
         _pivot(tab, basic, [Fraction(0)] * len(row), r, col)
+    return tuple(path)
 
 
 def _recheck_feasible(problem: LpProblem, support) -> None:

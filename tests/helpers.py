@@ -261,20 +261,22 @@ def improvement_lp(instance: Instance) -> fairdiv.lp.LpProblem:
 
 @contextlib.contextmanager
 def lp_calls():
-    """Yield a list that gets every problem ``fairdiv.lp.solve`` is asked to
-    solve meanwhile. Each ``fairdiv`` module that imported the solver holds
-    its own reference, so each one's is swapped."""
-    solve_lp, problems = fairdiv.lp.solve, []
+    """Yield a list that gets a ``(problem, solution)`` pair per LP that
+    ``fairdiv.lp.solve`` solves meanwhile; the solution reports its pivots.
+    Each ``fairdiv`` module that imported the solver holds its own
+    reference, so each one's is swapped."""
+    solve_lp, calls = fairdiv.lp.solve, []
 
     def recorded(problem):
-        problems.append(problem)
-        return solve_lp(problem)
+        solution = solve_lp(problem)
+        calls.append((problem, solution))
+        return solution
 
     with contextlib.ExitStack() as stack:
         for name, module in list(sys.modules.items()):
             if name.startswith("fairdiv") and getattr(module, "solve", None) is solve_lp:
                 stack.enter_context(mock.patch.object(module, "solve", recorded))
-        yield problems
+        yield calls
 
 
 def general_welfare_lp(instance: Instance, floors) -> LpProblem:
@@ -729,12 +731,12 @@ def check_theorem(instances, twice: bool = False) -> int:
     returns an equal result. Return how many instances are argmax hits,
     whose improvement LP has the utilitarian argmax as unique optimum."""
     hits = 0
-    with lp_calls() as problems:
+    with lp_calls() as calls:
         for inst in instances:
             hit = oracle_argmax_is_lp_optimum(inst)
-            problems.clear()
+            calls.clear()
             result = allocate(inst)
-            _check_output(inst, result, hit, problems)
+            _check_output(inst, result, hit, calls)
             if twice:
                 assert allocate(inst) == result
             hits += hit
@@ -743,10 +745,10 @@ def check_theorem(instances, twice: bool = False) -> int:
     return hits
 
 
-def _check_output(inst, result, hit: bool, problems: list) -> None:
+def _check_output(inst, result, hit: bool, calls: list) -> None:
     """The theorem on one ``allocate`` result: ``hit`` says whether the
-    argmax is the improvement LP's unique optimum, and ``problems`` are the
-    LPs the call solved."""
+    argmax is the improvement LP's unique optimum, and ``calls`` are the
+    LPs the call solved, with their solutions."""
     n, m = inst.num_agents, inst.num_items
     u = fraction_matrix(inst)
     x, owners, weights = result.fractional.fractions, result.integral.owners, result.welfare_weights
@@ -776,4 +778,4 @@ def _check_output(inst, result, hit: bool, problems: list) -> None:
     # attains p_o and every agent with pi_i != 0 sits exactly at its share
     assert all(value == share for value, share, w in zip(values, shares, weights) if w != 1)
     # no LP exactly when the argmax is its unique optimum, else one held to the shares
-    assert [list(problem.floors) for problem in problems] == ([] if hit else [shares])
+    assert [list(problem.floors) for problem, _ in calls] == ([] if hit else [shares])

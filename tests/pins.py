@@ -11,15 +11,18 @@ its moved entries' names. Neither they nor this module import pytest.
 """
 
 import contextlib
+import functools
 import hashlib
 import importlib
 import io
 import itertools
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from fairdiv.cli import main as fairdiv
+from helpers import lp_calls
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROOT = GOLDEN.parent.parent
@@ -36,15 +39,34 @@ def run(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def solve_stdout(doc, workdir) -> str:
+def solve_stdout(doc) -> str:
     """``fairdiv solve`` stdout on the instance document; it must exit 0,
     silently on stderr."""
-    path = Path(workdir) / "instance.json"
+    path = Path(_workdir().name) / "instance.json"
     path.write_text(json.dumps(doc), "utf-8")
     code, out, err = run(["solve", str(path)])
     if (code, err) != (0, ""):
         raise AssertionError(f"solve exited {code}: {err}")
     return out
+
+
+@functools.cache
+def _workdir() -> tempfile.TemporaryDirectory:
+    return tempfile.TemporaryDirectory()  # removed as the process ends
+
+
+def solved(doc) -> tuple:
+    """``fairdiv solve`` on the instance document, run once per process and
+    document: its stdout and, per LP it solved, the LP's floors and
+    ``pivots``. Every pin on the document reads this one solve."""
+    return _solved(json.dumps(doc))
+
+
+@functools.cache
+def _solved(text: str) -> tuple:
+    with lp_calls() as calls:
+        out = solve_stdout(json.loads(text))
+    return out, tuple((problem.floors, solution.pivots) for problem, solution in calls)
 
 
 def sha256(text: str) -> str:

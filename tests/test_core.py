@@ -371,9 +371,9 @@ VALUE_TYPES = {
     ConsumptionGraph: (("agent_items", "item_agents"),
                        lambda k: ConsumptionGraph(((0,), (k,)), ((0,), (1,)))),
     LpProblem: (("instance", "floors"), lambda k: LpProblem(Instance([[1, 2]]), (k,))),
-    LpSolution: (("value", "assignment", "duals"),
+    LpSolution: (("value", "assignment", "duals", "pivots"),
                  lambda k: LpSolution(Fraction(k), (Fraction(1), Fraction(0)),
-                                      (Fraction(0), None))),
+                                      (Fraction(0), None), (((2, 0),), (), ()))),
     PipelineResult: (("integral", "fractional", "prop1", "welfare_weights"),
                      lambda k: PipelineResult(IntegralAllocation(1, (0,)),
                                               FractionalAllocation(((1,),)),

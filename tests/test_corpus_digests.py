@@ -17,16 +17,16 @@ that reaches the same vertex and duals passes whatever its data structure.
 Tier-1 checks both 2x3 corpora, naming each block that moved by its first
 document, and ``helpers.check_theorem`` on ``allocate``'s result for each
 instance of the integer one; ``test_improve`` checks it on the p/q one.
+The stdouts of both 2x3 corpora are read off ``pins.solved``, whose one
+solve per document the pivot-path pins of ``test_pivot_digests`` read too.
 ``tests/pins.py`` checks and records all four corpora.
 """
 
-import functools
 import itertools
-import tempfile
 
 from fairdiv.serialize import parse_instance
 from helpers import check_theorem
-from pins import moved, read, sha256, solve_stdout, write
+from pins import moved, read, sha256, solve_stdout, solved, write
 
 DIGESTS = "corpus_digests.json"
 INTEGERS, HALVES = (-1, 0, 1), ("-1/2", 0, 1)
@@ -52,25 +52,19 @@ def documents(n: int, m: int, entries: tuple = INTEGERS) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def corpus(shape: str) -> tuple:
-    """The corpus's documents and their stdouts."""
-    docs = documents(*SHAPES[shape])
-    with tempfile.TemporaryDirectory() as workdir:
-        return docs, [solve_stdout(doc, workdir) for _, doc in docs]
-
-
 def blocks(shape: str) -> tuple:
     """The first document's name and the digest of each block of the
-    corpus's stdouts."""
-    docs, outs = corpus(shape)
+    corpus's stdouts. A tier-1 corpus's are read off ``pins.solved``,
+    whose solves the pivot pins read too."""
+    docs = documents(*SHAPES[shape])
+    outs = [solved(doc)[0] if shape in TIER1 else solve_stdout(doc) for _, doc in docs]
     return ([docs[k][0] for k in range(0, len(docs), BLOCK)],
             [sha256("".join(outs[k:k + BLOCK])) for k in range(0, len(outs), BLOCK)])
 
 
 def test_corpus_outputs_match_their_digests():
     for shape in TIER1:
-        assert len(corpus(shape)[0]) == 2 * 3 ** 6
+        assert len(documents(*SHAPES[shape])) == 2 * 3 ** 6
         changed = moved(*blocks(shape), read(DIGESTS)[shape])
         assert not changed, f"{len(changed)} blocks of {shape} solve outputs moved, from {changed}"
 
@@ -83,10 +77,7 @@ def test_corpus_allocations_are_weighted_prop1_and_pareto_optimal():
 def check(record: bool) -> list:
     """Recompute every corpus's digests; record them, or return, per block
     that differs from the file, its first document's name."""
-    got = {}
-    for shape in SHAPES:
-        got[shape] = blocks(shape)
-        corpus.cache_clear()
+    got = {shape: blocks(shape) for shape in SHAPES}
     if record:
         write(DIGESTS, {key: digests for key, (_, digests) in got.items()})
         return []

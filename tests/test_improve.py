@@ -1,5 +1,4 @@
 import random
-import tempfile
 from fractions import Fraction
 from unittest import mock
 
@@ -29,11 +28,12 @@ from helpers import (
     improvement_lp,
     lp_calls,
     oracle_argmax_is_lp_optimum,
+    oracle_total_value,
     vertex_enumeration_optimum,
 )
 from pins import solve_stdout
 from reference_lp import LpProblem
-from test_pivot_digests import corpus
+from test_pivot_digests import CORPORA, corpus, corpus_lps
 
 F = Fraction
 
@@ -49,8 +49,13 @@ def test_proportional_seed_gives_entitlement_everywhere():
 
 
 def test_the_improvement_lp_floors_are_the_proportional_shares():
-    # every LP allocate solves on the 2x3 p/q corpus holds each agent to
-    # b_i * u_i(M), read off the LPs it recorded, with the rest of the theorem
+    # every LP that solve runs on either 2x3 corpus holds each agent to
+    # b_i * u_i(M), read off the solve the pivot pins read; and every LP
+    # that allocate solves on the p/q one, with the rest of the theorem
+    for key in CORPORA:
+        for (_, inst), lps in zip(corpus(key), corpus_lps(key)):
+            shares = [inst.weights[i] * oracle_total_value(inst, i) for i in inst.agents]
+            assert [list(floors) for floors, _ in lps] in ([], [shares])
     check_theorem([inst for _, inst in corpus("corpus-pq")])
 
 
@@ -78,7 +83,7 @@ def test_improve_rejects_an_optimum_that_is_not_a_signed_forest(monkeypatch, row
     # returns it; the postcondition must reject it if it ever did.
     inst = Instance(rows)
     duals = (F(0), F(0)) + (None,) * len(rows[0])
-    crafted = LpSolution(F(2), assignment, duals)
+    crafted = LpSolution(F(2), assignment, duals, ((), (), ()))
     monkeypatch.setattr(improve, "solve", lambda problem: crafted)
     with pytest.raises(InvariantViolation, match=message):
         improve_to_acyclic_fpo(inst)
@@ -222,10 +227,9 @@ def test_argmax_shortcut_prints_what_the_lp_prints(instance):
         return
     n, m = instance.num_agents, instance.num_items
     doc = print_instance(instance, [f"a{i}" for i in range(n)], [f"o{j}" for j in range(m)])
-    with tempfile.TemporaryDirectory() as tmp:
-        fast = solve_stdout(doc, tmp)
-        with mock.patch.object(improve, "_argmax_owners", lambda instance: None):
-            assert solve_stdout(doc, tmp) == fast
+    fast = solve_stdout(doc)
+    with mock.patch.object(improve, "_argmax_owners", lambda instance: None):
+        assert solve_stdout(doc) == fast
 
 
 @pytest.mark.parametrize("rows, weights", [

@@ -2,34 +2,31 @@
 that ``fairdiv solve`` runs.
 
 The output pins pass a change that reaches the same vertex and duals by
-another path; this file pins the path itself, and only it wraps the kernel,
-so the output pins stay kernel-independent. Wrapping ``fairdiv.lp._pivot``
-records, per pivot, the basic variable that leaves and the column that
-enters, in the tableau's column numbering, drive-out pivots included;
-wrapping ``improve.solve`` starts a new LP.
+another path; this file pins the path itself. The kernel reports it as
+``LpSolution.pivots``: per phase (phase 1, the drive-out of artificials,
+phase 2), the basic variable that leaves and the column that enters at each
+pivot, in the tableau's column numbering. A path here is one LP's pivots
+over its three phases. Each pin reads the paths of ``pins.solved``, the
+one solve per document that the stdout pins read too.
 ``tests/golden/pivot_digests.json`` holds the sha256 of the paths of each
-document of ``test_solve_digests``, and a 16-digit sha256 prefix of the
-paths that ``improve_to_acyclic_fpo`` takes on each instance of the two 2x3
-corpora of ``test_corpus_digests``: over {-1, 0, 1} under ``corpus`` and
-over {-1/2, 0, 1} under ``corpus-pq``. The second sees a kernel that
+document of ``test_solve_digests``; a 16-digit sha256 prefix of the paths
+on each instance of the two 2x3 corpora of ``test_corpus_digests``, over
+{-1, 0, 1} under ``corpus`` and over {-1/2, 0, 1} under ``corpus-pq``; and,
+under ``large``, the sha256 of the document, of its stdout and of its paths
+for four ``fairdiv gen --seed 1`` instances. The second sees a kernel that
 scales agent rows by their denominator, which reaches the same vertex by
 other pivots and moves none of the first's paths.
 
 Tier-1 checks both corpora, where the instances that reach no LP must be
-exactly the argmax hits of ``helpers.oracle_argmax_is_lp_optimum``, and
-every fifth document; ``tests/pins.py`` checks and records all paths.
+exactly the argmax hits of ``helpers.oracle_argmax_is_lp_optimum``;
+every fifth document; and the equal-weight 10x50 gen instance. ``tests/pins.py`` checks and records all paths.
 """
 
-import contextlib
-import functools
 import json
-import tempfile
-from unittest import mock
 
-from fairdiv import improve, lp
 from fairdiv.serialize import parse_instance
 from helpers import oracle_argmax_is_lp_optimum
-from pins import moved, parametrize, read, run, sha256, solve_stdout, write
+from pins import moved, parametrize, read, run, sha256, solved, write
 from test_corpus_digests import SHAPES
 from test_corpus_digests import documents as corpus_documents
 from test_solve_digests import SUBSET, documents
@@ -48,6 +45,12 @@ LARGE = {"gen-10x50-equal": (10, 50, "equal"), "gen-15x80-equal": (15, 80, "equa
 TIER1_LARGE = "gen-10x50-equal"
 
 
+def paths_sha256(lps) -> str:
+    """The digest of the paths of ``pins.solved``'s LPs."""
+    paths = [[pair for phase in pivots for pair in phase] for _, pivots in lps]
+    return sha256(json.dumps(paths, separators=(",", ":")))
+
+
 def corpus(key: str) -> list:
     """(name, instance) pairs of the corpus pinned under ``key``, in
     enumeration order."""
@@ -55,97 +58,62 @@ def corpus(key: str) -> list:
             for name, doc in corpus_documents(*SHAPES[CORPORA[key]])]
 
 
-@contextlib.contextmanager
-def recording():
-    """Yield a list that gets, per LP that ``improve`` solves meanwhile,
-    the list of its pivots as (leaving, entering) pairs."""
-    lps = []
-    pivot, solve = lp._pivot, improve.solve
-
-    def recorded_pivot(tab, basic, obj, r, j):
-        lps[-1].append((basic[r], j))
-        pivot(tab, basic, obj, r, j)
-
-    def recorded_solve(problem):
-        lps.append([])
-        return solve(problem)
-
-    with mock.patch.object(lp, "_pivot", recorded_pivot), \
-            mock.patch.object(improve, "solve", recorded_solve):
-        yield lps
+def corpus_lps(key: str) -> list:
+    """Per instance of that corpus, in order, the LPs that its solve ran."""
+    return [solved(doc)[1] for _, doc in corpus_documents(*SHAPES[CORPORA[key]])]
 
 
-def _paths_sha256(lps) -> str:
-    return sha256(json.dumps(lps, separators=(",", ":")))
+def corpus_digests(key: str) -> tuple:
+    """The corpus's names and its digests."""
+    names = [name for name, _ in corpus_documents(*SHAPES[CORPORA[key]])]
+    return names, [paths_sha256(lps)[:16] for lps in corpus_lps(key)]
 
 
-def document_digest(doc, workdir) -> str:
-    with recording() as lps:
-        solve_stdout(doc, workdir)
-    return _paths_sha256(lps)
-
-
-def large_digests(name: str, workdir) -> dict:
+def large_digests(name: str) -> dict:
     """The sha256 of the gen document, of its ``solve`` stdout and of the
     paths of that solve."""
     n, m, mode = LARGE[name]
     code, text, _ = run(["gen", "--agents", str(n), "--items", str(m), "--seed", "1",
                          "--weight-mode", mode])
     assert code == 0
-    with recording() as lps:
-        out = solve_stdout(json.loads(text), workdir)
-    return {"instance": sha256(text), "stdout": sha256(out), "path": _paths_sha256(lps)}
-
-
-@functools.lru_cache(maxsize=None)
-def corpus_digests(key: str) -> tuple:
-    """The corpus's names, its digests, and how many LPs each instance
-    solved."""
-    names, digests, solved = [], [], []
-    for name, instance in corpus(key):
-        with recording() as lps:
-            improve.improve_to_acyclic_fpo(instance)
-        names.append(name)
-        digests.append(_paths_sha256(lps)[:16])
-        solved.append(len(lps))
-    return names, digests, solved
+    out, lps = solved(json.loads(text))
+    return {"instance": sha256(text), "stdout": sha256(out), "path": paths_sha256(lps)}
 
 
 def test_corpus_pivot_paths_match_their_digests():
     for key in CORPORA:
-        names, digests, solved = corpus_digests(key)
-        assert (len(names), sum(solved)) == (1458, CORPUS_LPS)
+        names, digests = corpus_digests(key)
+        assert (len(names), sum(map(len, corpus_lps(key)))) == (1458, CORPUS_LPS)
         changed = moved(names, digests, read(DIGESTS)[key])
         assert not changed, f"{len(changed)} {key} pivot paths moved, the first on {changed[0]}"
 
 
 def test_corpus_runs_no_lp_exactly_on_the_argmax_hits():
     for key in CORPORA:
-        names, _, solved = corpus_digests(key)
-        no_lp = [name for name, count in zip(names, solved) if not count]
+        instances = corpus(key)
+        no_lp = [name for (name, _), lps in zip(instances, corpus_lps(key)) if not lps]
         assert len(no_lp) == 400
-        assert no_lp == [name for name, inst in corpus(key) if oracle_argmax_is_lp_optimum(inst)]
+        assert no_lp == [name for name, inst in instances if oracle_argmax_is_lp_optimum(inst)]
 
 
-def test_document_pivot_paths_match_their_digest(name, doc, tmp_path):
-    assert document_digest(doc, tmp_path) == read(DIGESTS)["documents"][name]
+def test_document_pivot_paths_match_their_digest(name, doc):
+    assert paths_sha256(solved(doc)[1]) == read(DIGESTS)["documents"][name]
 
 
 pytest_generate_tests = parametrize(test_document_pivot_paths_match_their_digest,
                                     "name,doc", SUBSET)
 
 
-def test_large_document_path_and_stdout_match_their_digests(tmp_path):
-    assert large_digests(TIER1_LARGE, tmp_path) == read(DIGESTS)["large"][TIER1_LARGE]
+def test_large_document_path_and_stdout_match_their_digests():
+    assert large_digests(TIER1_LARGE) == read(DIGESTS)["large"][TIER1_LARGE]
 
 
 def check(record: bool) -> list:
     """Recompute every digest; record them, or return the names of the
     documents and corpus instances whose paths differ from the file."""
-    with tempfile.TemporaryDirectory() as workdir:
-        docs = {name: document_digest(doc, workdir) for name, doc in documents()}
-        large = {name: large_digests(name, workdir) for name in LARGE}
-    corpora = {key: corpus_digests(key)[:2] for key in CORPORA}
+    docs = {name: paths_sha256(solved(doc)[1]) for name, doc in documents()}
+    corpora = {key: corpus_digests(key) for key in CORPORA}
+    large = {name: large_digests(name) for name in LARGE}
     if record:
         write(DIGESTS, {"documents": docs,
                         **{key: digests for key, (_, digests) in corpora.items()},

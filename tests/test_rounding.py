@@ -39,7 +39,7 @@ def _lp_returns(monkeypatch, x):
     make the stage solve it even where the argmax would answer first."""
     assignment = tuple(v for row in x.fractions for v in row)
     duals = (F(0),) * x.num_agents + (None,) * x.num_items
-    crafted = LpSolution(F(0), assignment, duals)
+    crafted = LpSolution(F(0), assignment, duals, ((), (), ()))
     monkeypatch.setattr(improve, "solve", lambda problem: crafted)
     monkeypatch.setattr(improve, "_argmax_owners", lambda instance: None)
 

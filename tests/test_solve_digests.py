@@ -8,16 +8,17 @@ sha256 of the document and of ``solve``'s stdout. A change meant to keep
 every output identical must pass unchanged; a changed digest is a changed
 output. Tier-1 checks every document digest and recomputes the stdout
 digests of every ``SUBSET_STEP``-th document; ``tests/pins.py`` recomputes
-all of them, and its ``--record`` rewrites them.
+all of them, and its ``--record`` rewrites them. Each stdout is read off
+``pins.solved``, whose one solve per document the pivot-path pins of
+``test_pivot_digests`` read too.
 """
 
 import json
 import random
-import tempfile
 
 from fairdiv.serialize import parse_instance
 from helpers import fraction_matrix, oracle_argmax_is_lp_optimum
-from pins import moved, parametrize, read, sha256, solve_stdout, write
+from pins import moved, parametrize, read, sha256, solved, write
 
 DIGESTS = "solve_digests.json"
 KINDS = ("ties", "wide", "ratio", "signs", "scaled", "hits")
@@ -115,8 +116,8 @@ def test_documents_hold_each_case_the_digests_pin():
 SUBSET = documents()[::SUBSET_STEP]
 
 
-def test_solve_stdout_matches_its_digest(name, doc, tmp_path):
-    assert sha256(solve_stdout(doc, tmp_path)) == read(DIGESTS)[name]["stdout"]
+def test_solve_stdout_matches_its_digest(name, doc):
+    assert sha256(solved(doc)[0]) == read(DIGESTS)[name]["stdout"]
 
 
 pytest_generate_tests = parametrize(test_solve_stdout_matches_its_digest, "name,doc", SUBSET)
@@ -125,9 +126,8 @@ pytest_generate_tests = parametrize(test_solve_stdout_matches_its_digest, "name,
 def check(record: bool) -> list:
     """Recompute every digest; record them, or return the names of the
     documents whose digests differ from the file."""
-    with tempfile.TemporaryDirectory() as workdir:
-        got = {name: {"instance": sha256(document_text(doc)),
-                      "stdout": sha256(solve_stdout(doc, workdir))} for name, doc in documents()}
+    got = {name: {"instance": sha256(document_text(doc)), "stdout": sha256(solved(doc)[0])}
+           for name, doc in documents()}
     if record:
         write(DIGESTS, got)
         return []
