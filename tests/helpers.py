@@ -260,17 +260,21 @@ def improvement_lp(instance: Instance) -> fairdiv.lp.LpProblem:
 
 
 @contextlib.contextmanager
-def lp_calls():
+def lp_calls(refuse: bool = False):
     """Yield a list that gets a ``(problem, solution)`` pair per LP that
-    ``fairdiv.lp.solve`` solves meanwhile; the solution reports its pivots.
-    Each ``fairdiv`` module that imported the solver holds its own
-    reference, so each one's is swapped."""
+    ``fairdiv.lp.solve`` is asked to solve meanwhile; the solution reports
+    its pivots. With ``refuse``, a call is recorded as ``(problem, None)``
+    and raises AssertionError unsolved, for code that must reach no LP,
+    however large. Each ``fairdiv`` module that imported the solver holds
+    its own reference, so each one's is swapped."""
     solve_lp, calls = fairdiv.lp.solve, []
 
     def recorded(problem):
-        solution = solve_lp(problem)
-        calls.append((problem, solution))
-        return solution
+        calls.append((problem, None))
+        if refuse:
+            raise AssertionError("an LP reached the solver")
+        calls[-1] = (problem, solve_lp(problem))
+        return calls[-1][1]
 
     with contextlib.ExitStack() as stack:
         for name, module in list(sys.modules.items()):

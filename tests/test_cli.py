@@ -26,6 +26,7 @@ from helpers import (
     CANONICAL,
     FIXTURES,
     fraction_matrix,
+    lp_calls,
     oracle_pareto_dominates,
     oracle_propx,
     oracle_weighted_prop,
@@ -450,18 +451,16 @@ def test_error_lines_stay_short_whatever_the_input(capsys, tmp_path, instance, a
     assert len(captured.err.encode()) < 1024
 
 
-def test_verify_goldens_run_no_simplex(monkeypatch):
-    # every binding of lp.solve, verify's included, runs through _run_simplex
-    def no_simplex(*args):
-        raise AssertionError("verify ran the simplex")
-
-    monkeypatch.setattr(lp, "_run_simplex", no_simplex)
+def test_verify_goldens_run_no_simplex():
+    # lp_calls swaps every binding of lp.solve, verify's included
     cases = [c for c in recorded().values() if c["argv"][0] == "verify"]
     assert any("fpo" in c["argv"][-1] for c in cases)
-    for case in cases:
-        code, stdout, _ = run_golden(case["argv"])
-        assert code == case["exit"], case["name"]
-        assert stdout == (GOLDEN / f"{case['name']}.stdout").read_text("utf-8"), case["name"]
+    with lp_calls(refuse=True) as calls:
+        for case in cases:
+            code, stdout, _ = run_golden(case["argv"])
+            assert calls == [], "verify ran the simplex"
+            assert code == case["exit"], case["name"]
+            assert stdout == (GOLDEN / f"{case['name']}.stdout").read_text("utf-8"), case["name"]
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
@@ -805,14 +804,13 @@ def test_gen_solve_pipeline(capsys, tmp_path):
         assert (code, out["allHold"]) == (0, True)
 
 
-def test_solve_refuses_an_lp_over_the_tableau_limit(capsys, monkeypatch, tmp_path):
-    def must_not_run(*args):
-        raise AssertionError("the improvement LP is built although it exceeds the limit")
-
-    monkeypatch.setattr(lp, "_standard_form", must_not_run)
+def test_solve_refuses_an_lp_over_the_tableau_limit(capsys, tmp_path):
+    # the tableau is built only inside lp.solve, which this solve must not reach
     inst, _ = _zero_instance_files(tmp_path, 50, 4000)
-    code = main(["solve", inst])
+    with lp_calls(refuse=True) as calls:
+        code = main(["solve", inst])
     captured = capsys.readouterr()
+    assert calls == [], "the improvement LP is built although it exceeds the limit"
     assert (code, captured.out) == (2, "")
     assert captured.err.splitlines() == [json.dumps(
         {"error": "a 50x4000 instance needs 826609050 LP tableau cells, over the limit 10000000"})]

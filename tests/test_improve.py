@@ -26,13 +26,14 @@ from helpers import (
     fraction_matrix,
     goods_blocks_instance,
     improvement_lp,
+    is_vertex,
     lp_calls,
     oracle_argmax_is_lp_optimum,
     oracle_total_value,
-    vertex_enumeration_optimum,
 )
 from pins import solve_stdout
-from reference_lp import LpProblem
+from reference_lp import OPTIMAL, LpProblem
+from reference_lp import solve as reference_solve
 from test_pivot_digests import CORPORA, corpus, corpus_lps
 
 F = Fraction
@@ -119,11 +120,20 @@ def _aggregated_blocks_lp(instance, blocks):
     return LpProblem(num_vars, tuple(objective), tuple(cons))
 
 
+def _aggregated_optimum(instance, blocks):
+    """The reference solver's optimal value on the aggregated LP, whose
+    point must be a vertex of it (test_lp checks the reference solver
+    against vertex enumeration)."""
+    problem = _aggregated_blocks_lp(instance, blocks)
+    oracle = reference_solve(problem)
+    assert oracle.status == OPTIMAL and is_vertex(problem, oracle.assignment)
+    return oracle.value
+
+
 def test_goods_blocks_welfare_optimum_is_67_50():
     inst = goods_blocks_instance()
     blocks = [(0,), tuple(range(1, 11)), tuple(range(11, 31))]
-    oracle_value, _ = vertex_enumeration_optimum(_aggregated_blocks_lp(inst, blocks))
-    assert oracle_value == F(67, 50)
+    assert _aggregated_optimum(inst, blocks) == F(67, 50)
     sol = solve(improvement_lp(inst))
     assert sol.value == F(67, 50)
 
@@ -131,8 +141,7 @@ def test_goods_blocks_welfare_optimum_is_67_50():
 def test_chores_blocks_welfare_optimum_is_minus_half():
     inst = chores_blocks_instance()
     blocks = [tuple(range(10)), (10,), (11,)]
-    oracle_value, _ = vertex_enumeration_optimum(_aggregated_blocks_lp(inst, blocks))
-    assert oracle_value == F(-1, 2)
+    assert _aggregated_optimum(inst, blocks) == F(-1, 2)
     sol = solve(improvement_lp(inst))
     assert sol.value == F(-1, 2)
 

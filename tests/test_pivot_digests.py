@@ -13,13 +13,14 @@ document of ``test_solve_digests``; a 16-digit sha256 prefix of the paths
 on each instance of the two 2x3 corpora of ``test_corpus_digests``, over
 {-1, 0, 1} under ``corpus`` and over {-1/2, 0, 1} under ``corpus-pq``; and,
 under ``large``, the sha256 of the document, of its stdout and of its paths
-for four ``fairdiv gen --seed 1`` instances. The second sees a kernel that
-scales agent rows by their denominator, which reaches the same vertex by
-other pivots and moves none of the first's paths.
+for four ``fairdiv gen --seed 1`` instances. The p/q corpus sees a kernel
+that scales agent rows by their denominator, which reaches the same vertex
+by other pivots and moves none of the integer corpus's paths.
 
 Tier-1 checks both corpora, where the instances that reach no LP must be
-exactly the argmax hits of ``helpers.oracle_argmax_is_lp_optimum``;
-every fifth document; and the equal-weight 10x50 gen instance. ``tests/pins.py`` checks and records all paths.
+exactly the argmax hits of ``helpers.oracle_argmax_is_lp_optimum``, and
+their drive-outs; every fifth document; and the equal-weight 10x50 gen
+instance. ``tests/pins.py`` checks and records all paths.
 """
 
 import json
@@ -36,8 +37,10 @@ DIGESTS = "pivot_digests.json"
 CORPORA = {"corpus": "2x3", "corpus-pq": "2x3-pq"}
 # instances of each corpus whose argmax is not the LP's unique optimum
 CORPUS_LPS = 1058
+# LPs of each corpus that end phase 1 with an artificial still basic
+DRIVE_OUTS = {"corpus": 26, "corpus-pq": 18}
 # ``fairdiv gen --seed 1`` documents, by name: (agents, items, weight mode).
-# The optimum of each one's LP is not unique, so its path fixes the output.
+# At these shapes no LP measured had a unique optimum: the path fixes the output.
 LARGE = {"gen-10x50-equal": (10, 50, "equal"), "gen-15x80-equal": (15, 80, "equal"),
          "gen-20x120-equal": (20, 120, "equal"),
          "gen-10x50-random": (10, 50, "random-positive-normalized")}
@@ -94,6 +97,17 @@ def test_corpus_runs_no_lp_exactly_on_the_argmax_hits():
         no_lp = [name for (name, _), lps in zip(instances, corpus_lps(key)) if not lps]
         assert len(no_lp) == 400
         assert no_lp == [name for name, inst in instances if oracle_argmax_is_lp_optimum(inst)]
+
+
+def test_drive_out_pivots_replace_artificials_by_real_columns():
+    # a 2x3 tableau has six variables and two slacks before its artificials
+    art_start = 8
+    for key, count in DRIVE_OUTS.items():
+        paths = [pivots for lps in corpus_lps(key) for _, pivots in lps]
+        assert sum(1 for _, drive_out, _ in paths if drive_out) == count
+        for _, drive_out, phase2 in paths:
+            assert all(leave >= art_start > enter for leave, enter in drive_out)
+            assert all(max(pair) < art_start for pair in phase2)
 
 
 def test_document_pivot_paths_match_their_digest(name, doc):
